@@ -2,10 +2,12 @@
 //! at `GET /metrics`, the accuracy ledger as JSON at `GET /accuracy`.
 //!
 //! The workspace builds offline, so there is no hyper/axum — just a
-//! [`TcpListener`] on a background thread speaking the two lines of
-//! HTTP/1.1 a scraper needs. Every response is built from immutable
-//! snapshot reads ([`StatsCatalog::snapshot`] + monotone counters), so
-//! serving a scrape never blocks estimation or refresh work.
+//! [`TcpListener`] on the crate's one blocking accept loop (the one
+//! under [`WireServer`](crate::WireServer)), answering each connection
+//! on the accept thread with the two lines of HTTP/1.1 a scraper needs.
+//! Every response is built from immutable snapshot reads
+//! ([`StatsCatalog::snapshot`] + monotone counters), so serving a
+//! scrape never blocks estimation or refresh work.
 //!
 //! The render functions are public on their own so tests and the bench
 //! harness can check the exposition without opening a socket.
@@ -14,14 +16,13 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use samplehist_obs::json::write_escaped;
 use samplehist_obs::prom::escape_label_value;
 
+use crate::server::Acceptor;
 use crate::service::StatsService;
 
 /// Render the service's Prometheus text exposition (format 0.0.4):
@@ -182,9 +183,7 @@ fn json_f64_opt(v: Option<f64>, out: &mut String) {
 /// weakly, so a scraper can never keep a shut-down service alive.
 #[derive(Debug)]
 pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl MetricsServer {
@@ -192,57 +191,31 @@ impl MetricsServer {
     /// is reported by [`addr`](Self::addr)) and start serving.
     pub fn start(svc: &Arc<StatsService>, addr: &str) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let bound = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
         let weak: Weak<StatsService> = Arc::downgrade(svc);
-        let handle =
-            std::thread::Builder::new().name("metrics-http".to_string()).spawn(move || {
-                while !thread_stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            let Some(svc) = weak.upgrade() else { break };
-                            let _ = serve_one(stream, &svc);
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(2)),
-                    }
-                }
-            })?;
-        Ok(Self { addr: bound, stop, handle: Some(handle) })
+        let acceptor = Acceptor::spawn(listener, "metrics-http", move |stream| {
+            let Some(svc) = weak.upgrade() else { return false };
+            let _ = serve_one(stream, &svc);
+            true
+        })?;
+        Ok(Self { acceptor })
     }
 
     /// The address actually bound (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
-    /// Stop accepting and join the responder thread.
+    /// Stop accepting and join the responder thread (dropping does the
+    /// same).
     pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.acceptor.stop();
     }
 }
 
 /// Read one request head, answer it, close. Any I/O error just drops
 /// the connection — a scraper retries on its next interval.
 fn serve_one(mut stream: TcpStream, svc: &StatsService) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
+    // A stalled scraper may hold the accept thread this long per read.
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     let mut head = Vec::with_capacity(512);
     let mut buf = [0u8; 512];

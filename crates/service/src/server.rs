@@ -1,19 +1,28 @@
-//! The network front-end: a std-only nonblocking TCP server speaking
-//! the [`wire`](crate::wire) protocol over a [`TenantRegistry`].
+//! The network front-end: a std-only blocking TCP server speaking the
+//! [`wire`](crate::wire) protocol over a [`TenantRegistry`].
 //!
 //! Same zero-dependency stance as [`MetricsServer`](crate::MetricsServer),
 //! generalized from one-shot HTTP responses to long-lived pipelined
-//! connections: an acceptor thread runs a nonblocking `TcpListener`,
-//! accepted sockets go nonblocking into a shared work queue, and a
-//! small fixed pool of worker threads cycles them — each cycle reads
-//! until `WouldBlock`, decodes every complete frame, answers, and
-//! writes until `WouldBlock`. No epoll, no async runtime; the poll
-//! granularity is a couple of milliseconds, which is far below the
-//! refresh machinery's time constants and honest about what std gives
-//! us portably.
+//! connections. One thread blocks in `accept`; every accepted
+//! connection gets its own thread, which blocks in `read`, decodes
+//! every complete frame it has, answers them all through [`dispatch`],
+//! and `write_all`s the answers before it reads again. No epoll, no
+//! async runtime, no sleeps or timeouts on the request path: a request
+//! is answered as soon as its bytes arrive.
+//! [`ServerOptions::max_connections`] bounds the thread count.
 //!
-//! **Batching/coalescing**: all estimate requests that a cycle has in
-//! hand are grouped per (tenant, table, column) and answered through
+//! **Backpressure**: answers are written before the next read, so a
+//! peer that pipelines requests without reading its answers blocks its
+//! own connection thread in `write_all` and stops being read. The
+//! kernel's socket buffers, not the server's heap, absorb it.
+//!
+//! **Shutdown**: [`WireServer::stop`] sets a flag and connects to the
+//! listener once to wake the blocked `accept`, then shuts down a clone
+//! of every live socket, which fails any blocked `read` or `write`, and
+//! joins every thread.
+//!
+//! **Batching/coalescing**: all estimate requests that one read brings
+//! in are grouped per (tenant, table, column) and answered through
 //! [`StatsService::estimate_cardinality_batch`] — one snapshot lookup
 //! and a few eight-lane tree descents for the whole group. Because the
 //! engine's batched router is bit-identical to its scalar router,
@@ -35,11 +44,11 @@
 //! [`StatsService::estimate_cardinality_batch`]:
 //!     crate::StatsService::estimate_cardinality_batch
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::collections::HashMap;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -51,9 +60,11 @@ use crate::wire::{FrameDecoder, Request, Response, WireError};
 /// Tuning for a [`WireServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerOptions {
-    /// Connection-servicing threads.
+    /// No longer read: the server runs one thread per connection. Kept
+    /// only because the repository benchmark prints its default.
     pub workers: usize,
-    /// Live-connection cap; the acceptor sheds beyond it.
+    /// Live-connection cap, and so the connection-thread cap; the
+    /// acceptor sheds beyond it.
     pub max_connections: usize,
     /// Per-tenant refresh-queue depth beyond which estimate requests
     /// are shed (feedback writes always pass).
@@ -224,20 +235,84 @@ pub fn dispatch(
     responses.into_iter().map(|r| r.expect("every request answered")).collect()
 }
 
-struct Conn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    outbuf: Vec<u8>,
-    outpos: usize,
-    /// No further reads (EOF or protocol error); close once flushed.
-    closing: bool,
+/// Bytes a connection thread reads at a time.
+const READ_BUF: usize = 64 * 1024;
+
+/// A listener served by a blocking `accept` loop on its own thread: the
+/// one accept loop under both [`WireServer`] and
+/// [`MetricsServer`](crate::MetricsServer). Stopping sets a flag, then
+/// connects to the listener once so the blocked `accept` returns and
+/// sees it. Dropping stops it.
+#[derive(Debug)]
+pub(crate) struct Acceptor {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Acceptor {
+    /// Start accepting on `listener`. `on_accept` handles each
+    /// connection on the accept thread and returns `false` to stop.
+    pub(crate) fn spawn(
+        listener: TcpListener,
+        name: &str,
+        mut on_accept: impl FnMut(TcpStream) -> bool + Send + 'static,
+    ) -> std::io::Result<Self> {
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let thread = std::thread::Builder::new().name(name.to_string()).spawn(move || {
+            for stream in listener.incoming() {
+                if flag.load(Ordering::SeqCst) {
+                    break;
+                }
+                // An accept error concerns one peer (say, it reset
+                // before we got to it); the listener is still good.
+                if let Ok(stream) = stream {
+                    if !on_accept(stream) {
+                        break;
+                    }
+                }
+            }
+        })?;
+        Ok(Self { addr, stop, thread: Some(thread) })
+    }
+
+    /// The bound address (resolves ephemeral ports).
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stop accepting and join the accept thread; later calls do nothing.
+    pub(crate) fn stop(&mut self) {
+        let Some(thread) = self.thread.take() else { return };
+        self.stop.store(true, Ordering::SeqCst);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // Refused if the loop already ended on its own; harmless.
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        let _ = thread.join();
+    }
+}
+
+impl Drop for Acceptor {
+    fn drop(&mut self) {
+        self.stop();
+    }
 }
 
 struct Shared {
-    queue: Mutex<VecDeque<Conn>>,
-    available: Condvar,
-    stop: AtomicBool,
-    live: AtomicUsize,
+    /// A clone of every live connection's socket, by connection id: its
+    /// size is the live count, and `stop` shuts these down to unblock
+    /// the connection threads.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Connection threads; finished ones are dropped at each accept.
+    threads: Mutex<Vec<JoinHandle<()>>>,
     sheds: AtomicU64,
     requests: AtomicU64,
 }
@@ -247,66 +322,54 @@ struct Shared {
 ///
 /// The server holds the registry only weakly — like
 /// [`MetricsServer`](crate::MetricsServer), dropping the registry's
-/// last user `Arc` quiesces the server rather than leaking it.
+/// last user `Arc` quiesces the server rather than leaking it: each
+/// connection closes at its next read, the acceptor at its next accept.
 pub struct WireServer {
-    addr: SocketAddr,
+    acceptor: Acceptor,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for WireServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WireServer").field("addr", &self.addr).finish()
+        f.debug_struct("WireServer").field("addr", &self.addr()).finish()
     }
 }
 
 impl WireServer {
     /// Bind `addr` (use port 0 for an ephemeral port; [`Self::addr`]
-    /// reports what was bound) and start the acceptor plus
-    /// `opts.workers` connection threads.
+    /// reports what was bound) and start the acceptor thread.
     pub fn start(
         registry: &Arc<TenantRegistry>,
         addr: impl ToSocketAddrs,
         opts: ServerOptions,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            stop: AtomicBool::new(false),
-            live: AtomicUsize::new(0),
+            conns: Mutex::new(HashMap::new()),
+            threads: Mutex::new(Vec::new()),
             sheds: AtomicU64::new(0),
             requests: AtomicU64::new(0),
         });
         let acceptor = {
             let shared = Arc::clone(&shared);
             let registry = Arc::downgrade(registry);
-            std::thread::Builder::new()
-                .name("statserve-accept".into())
-                .spawn(move || accept_loop(listener, shared, registry, opts))
-                .expect("spawn acceptor")
+            let mut next_id = 0u64;
+            Acceptor::spawn(listener, "statserve-accept", move |stream| {
+                if registry.strong_count() == 0 {
+                    return false;
+                }
+                next_id += 1;
+                admit(stream, next_id, &shared, &registry, &opts);
+                true
+            })?
         };
-        let mut workers = Vec::with_capacity(opts.workers.max(1));
-        for i in 0..opts.workers.max(1) {
-            let shared = Arc::clone(&shared);
-            let registry = Arc::downgrade(registry);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("statserve-worker-{i}"))
-                    .spawn(move || worker_loop(shared, registry, (&opts).into()))
-                    .expect("spawn worker"),
-            );
-        }
         samplehist_obs::global().counter("server.started", 1);
-        Ok(Self { addr, shared, acceptor: Some(acceptor), workers })
+        Ok(Self { acceptor, shared })
     }
 
     /// The bound address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Connections shed at accept (the `max_connections` gate).
@@ -319,18 +382,24 @@ impl WireServer {
         self.shared.requests.load(Ordering::Relaxed)
     }
 
-    /// Stop accepting, finish in-flight cycles, join every thread.
+    /// Stop accepting, close every connection, join every thread.
     pub fn stop(mut self) {
         self.shutdown();
     }
 
+    /// Runs in `Drop`, so it must not panic: a poisoned lock is still
+    /// usable, as every update to the map and the list is a single call.
     fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.available.notify_all();
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+        // The acceptor goes first, so no connection is added after the
+        // sweep below.
+        self.acceptor.stop();
+        for stream in self.shared.conns.lock().unwrap_or_else(PoisonError::into_inner).values() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
-        for h in self.workers.drain(..) {
+        let threads = std::mem::take(
+            &mut *self.shared.threads.lock().unwrap_or_else(PoisonError::into_inner),
+        );
+        for h in threads {
             let _ = h.join();
         }
     }
@@ -342,202 +411,131 @@ impl Drop for WireServer {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    registry: Weak<TenantRegistry>,
-    opts: ServerOptions,
+/// Give an accepted connection its own thread, or shed it with a typed
+/// frame when `max_connections` are already live.
+fn admit(
+    mut stream: TcpStream,
+    id: u64,
+    shared: &Arc<Shared>,
+    registry: &Weak<TenantRegistry>,
+    opts: &ServerOptions,
 ) {
     let recorder = samplehist_obs::global();
-    while !shared.stop.load(Ordering::SeqCst) {
-        if registry.upgrade().is_none() {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.live.load(Ordering::SeqCst) >= opts.max_connections {
-                    // Typed shed, then close: the client learns why and
-                    // when to retry instead of watching a hang.
-                    shared.sheds.fetch_add(1, Ordering::Relaxed);
-                    shared.requests.fetch_add(1, Ordering::Relaxed);
-                    recorder.counter("server.shed.connection", 1);
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-                    let frame =
-                        Response::Error(WireError::Shed { retry_after_ms: opts.retry_after_ms })
-                            .encode();
-                    let mut stream = stream;
-                    let _ = stream.write_all(&frame);
-                    continue;
-                }
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                recorder.counter("server.connections", 1);
-                shared.live.fetch_add(1, Ordering::SeqCst);
-                let mut q = shared.queue.lock().expect("conn queue");
-                q.push_back(Conn {
-                    stream,
-                    decoder: FrameDecoder::new(),
-                    outbuf: Vec::new(),
-                    outpos: 0,
-                    closing: false,
-                });
-                drop(q);
-                shared.available.notify_one();
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
+    let mut conns = shared.conns.lock().expect("conn table");
+    if conns.len() >= opts.max_connections {
+        drop(conns);
+        // Typed shed, then close: the client learns why and when to
+        // retry instead of watching a hang.
+        shared.sheds.fetch_add(1, Ordering::Relaxed);
+        shared.requests.fetch_add(1, Ordering::Relaxed);
+        recorder.counter("server.shed.connection", 1);
+        let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
+        let frame =
+            Response::Error(WireError::Shed { retry_after_ms: opts.retry_after_ms }).encode();
+        let _ = stream.write_all(&frame);
+        return;
+    }
+    let Ok(clone) = stream.try_clone() else { return };
+    conns.insert(id, clone);
+    drop(conns);
+    recorder.counter("server.connections", 1);
+    let _ = stream.set_nodelay(true);
+    let (thread_shared, registry, ctl) = (Arc::clone(shared), registry.clone(), opts.into());
+    let spawned =
+        std::thread::Builder::new().name(format!("statserve-conn-{id}")).spawn(move || {
+            serve_connection(stream, &registry, &ctl, &thread_shared);
+            // Only now does the socket close (the clone is its last
+            // handle), so a peer that sees EOF sees a freed slot.
+            thread_shared.conns.lock().expect("conn table").remove(&id);
+        });
+    let mut threads = shared.threads.lock().expect("thread list");
+    threads.retain(|h| !h.is_finished());
+    match spawned {
+        Ok(h) => threads.push(h),
+        Err(_) => drop(shared.conns.lock().expect("conn table").remove(&id)),
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, registry: Weak<TenantRegistry>, ctl: AdmissionControl) {
+/// Serve one connection until EOF, an I/O error, a frame error or a
+/// dropped registry: read what has arrived, answer every complete frame,
+/// write the answers, and only then read again.
+fn serve_connection(
+    mut stream: TcpStream,
+    registry: &Weak<TenantRegistry>,
+    ctl: &AdmissionControl,
+    shared: &Shared,
+) {
+    let mut decoder = FrameDecoder::new();
+    let mut buf = vec![0u8; READ_BUF];
+    let mut out = Vec::new();
     loop {
-        let conn = {
-            let mut q = shared.queue.lock().expect("conn queue");
-            loop {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(c) = q.pop_front() {
-                    break c;
-                }
-                let (guard, _) =
-                    shared.available.wait_timeout(q, Duration::from_millis(5)).expect("conn queue");
-                q = guard;
-            }
+        let n = match stream.read(&mut buf) {
+            Ok(n) if n > 0 => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            _ => return,
         };
-        let Some(registry) = registry.upgrade() else {
-            shared.live.fetch_sub(1, Ordering::SeqCst);
+        decoder.feed(&buf[..n]);
+        let Some(registry) = registry.upgrade() else { return };
+        let poisoned = answer_frames(&mut decoder, &registry, ctl, shared, &mut out);
+        drop(registry);
+        if stream.write_all(&out).is_err() || poisoned {
             return;
-        };
-        let mut conn = conn;
-        match service_cycle(&mut conn, &registry, &ctl, &shared) {
-            CycleOutcome::Keep { progressed } => {
-                let mut q = shared.queue.lock().expect("conn queue");
-                q.push_back(conn);
-                drop(q);
-                if !progressed {
-                    // Idle connection: don't spin the queue hot.
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-            CycleOutcome::Close => {
-                shared.live.fetch_sub(1, Ordering::SeqCst);
-            }
         }
+        out.clear();
     }
 }
 
-enum CycleOutcome {
-    Keep { progressed: bool },
-    Close,
-}
-
-/// One drain cycle over a connection: read everything available, decode
-/// and answer every complete frame, flush what the socket accepts.
-fn service_cycle(
-    conn: &mut Conn,
+/// Decode every complete frame in `decoder` and append the encoded
+/// answers to `out`, in order. A malformed payload is answered with a
+/// typed `Malformed` error and the stream goes on. A frame error
+/// poisons the stream: it is answered with a typed `Protocol` error
+/// after everything decoded before it, and `true` is returned so the
+/// caller closes the connection.
+fn answer_frames(
+    decoder: &mut FrameDecoder,
     registry: &TenantRegistry,
     ctl: &AdmissionControl,
     shared: &Shared,
-) -> CycleOutcome {
+    out: &mut Vec<u8>,
+) -> bool {
     let recorder = samplehist_obs::global();
-    let mut progressed = false;
-    // Read until WouldBlock (or EOF/error).
-    if !conn.closing {
-        let mut buf = [0u8; 4096];
-        loop {
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    conn.closing = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.decoder.feed(&buf[..n]);
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return CycleOutcome::Close,
-            }
-        }
-    }
-    // Decode all complete frames. A frame error poisons the stream:
-    // answer with a typed protocol error and stop reading — but still
-    // flush responses to everything decoded before the poison.
-    enum Item {
-        Req(Request),
-        Malformed,
-    }
-    let mut items: Vec<Item> = Vec::new();
-    let mut poisoned = false;
-    loop {
-        match conn.decoder.next_frame() {
+    let mut requests = Vec::new();
+    // Per frame in arrival order: did its payload decode?
+    let mut decoded = Vec::new();
+    let poisoned = loop {
+        match decoder.next_frame() {
             Ok(Some(frame)) => match Request::decode_payload(frame.kind, &frame.payload) {
-                Ok(req) => items.push(Item::Req(req)),
-                Err(_) => items.push(Item::Malformed),
-            },
-            Ok(None) => break,
-            Err(_) => {
-                poisoned = true;
-                break;
-            }
-        }
-    }
-    if !items.is_empty() {
-        progressed = true;
-        shared.requests.fetch_add(items.len() as u64, Ordering::Relaxed);
-        recorder.counter("server.requests", items.len() as u64);
-        let mut span = recorder.span("server.cycle");
-        span.field("requests", items.len() as u64);
-        let requests: Vec<Request> = items
-            .iter()
-            .filter_map(|i| match i {
-                Item::Req(r) => Some(r.clone()),
-                Item::Malformed => None,
-            })
-            .collect();
-        let mut answers = dispatch(registry, &requests, ctl).into_iter();
-        for item in &items {
-            let resp = match item {
-                Item::Req(_) => answers.next().expect("dispatch answers all requests"),
-                Item::Malformed => {
-                    recorder.counter("server.malformed", 1);
-                    Response::Error(WireError::Malformed)
+                Ok(req) => {
+                    requests.push(req);
+                    decoded.push(true);
                 }
+                Err(_) => decoded.push(false),
+            },
+            Ok(None) => break false,
+            Err(_) => break true,
+        }
+    };
+    if !decoded.is_empty() {
+        shared.requests.fetch_add(decoded.len() as u64, Ordering::Relaxed);
+        recorder.counter("server.requests", decoded.len() as u64);
+        let mut span = recorder.span("server.cycle");
+        span.field("requests", decoded.len() as u64);
+        let mut answers = dispatch(registry, &requests, ctl).into_iter();
+        for ok in decoded {
+            let resp = if ok {
+                answers.next().expect("dispatch answers all requests")
+            } else {
+                recorder.counter("server.malformed", 1);
+                Response::Error(WireError::Malformed)
             };
-            conn.outbuf.extend_from_slice(&resp.encode());
+            out.extend_from_slice(&resp.encode());
         }
     }
-    if poisoned && !conn.closing {
+    if poisoned {
         recorder.counter("server.protocol_error", 1);
-        conn.outbuf.extend_from_slice(&Response::Error(WireError::Protocol).encode());
-        conn.closing = true;
+        out.extend_from_slice(&Response::Error(WireError::Protocol).encode());
     }
-    // Flush what the socket will take.
-    while conn.outpos < conn.outbuf.len() {
-        match conn.stream.write(&conn.outbuf[conn.outpos..]) {
-            Ok(0) => return CycleOutcome::Close,
-            Ok(n) => {
-                conn.outpos += n;
-                progressed = true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return CycleOutcome::Close,
-        }
-    }
-    if conn.outpos == conn.outbuf.len() {
-        conn.outbuf.clear();
-        conn.outpos = 0;
-        if conn.closing {
-            return CycleOutcome::Close;
-        }
-    }
-    CycleOutcome::Keep { progressed }
+    poisoned
 }
 
 /// A minimal blocking client for the wire protocol — what the netbench

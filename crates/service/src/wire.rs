@@ -18,7 +18,7 @@
 //! Decoding is split into two layers with different failure semantics:
 //!
 //! * **Framing** ([`FrameDecoder`]) is incremental — feed it whatever a
-//!   nonblocking read produced, it yields complete frames and buffers
+//!   socket read produced, it yields complete frames and buffers
 //!   partial ones, so torn reads and pipelined clients both just work.
 //!   A header-level violation (wrong magic, unknown version, oversized
 //!   length) is a [`FrameError`]: the stream offset can no longer be

@@ -1,7 +1,13 @@
 //! End-to-end wire server tests: real loopback sockets, concurrent
-//! clients, byte-equality against the in-process API, typed shedding.
+//! clients, byte-equality against the in-process API, typed shedding,
+//! backpressure against peers that never read, and shutdown under a
+//! deadline.
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use samplehist_engine::{Predicate, Table};
 use samplehist_service::{
@@ -315,4 +321,116 @@ fn dispatch_coalesces_across_interleaved_requests() {
         assert_eq!(est.rows.to_bits(), expect(&svc0, pred));
     }
     assert_eq!(resps[3], Response::Pong);
+}
+
+/// Run `body` on its own thread and fail the test if it is still
+/// running after `limit`, so a hung server fails instead of hanging.
+fn within<T: Send + 'static>(limit: Duration, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(body());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(value) => value,
+        Err(RecvTimeoutError::Timeout) => panic!("test body still running after {limit:?}"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(handle.join().expect_err("body ended without a value"))
+        }
+    }
+}
+
+/// How much a client that never reads may pipeline before the test
+/// concludes that the server keeps reading it.
+const STUCK_CAP: usize = 64 << 20;
+
+/// Connect a client that pipelines `Ping`s and never reads its `Pong`s.
+/// Returns the connection once one of its writes times out, that is,
+/// once the server has stopped reading it; `None` if `STUCK_CAP` bytes
+/// went through without one.
+fn stuck_client(addr: SocketAddr) -> Option<TcpStream> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_write_timeout(Some(Duration::from_millis(200))).expect("write timeout");
+    let pings = Request::Ping.encode().repeat(8192);
+    // Offset into `pings`, so a partial write never tears a frame.
+    let (mut pos, mut sent) = (0, 0);
+    while sent < STUCK_CAP {
+        match stream.write(&pings[pos..]) {
+            Ok(n) => {
+                sent += n;
+                pos = (pos + n) % pings.len();
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Some(stream)
+            }
+            Err(e) => panic!("write failed after {sent} bytes: {e}"),
+        }
+    }
+    None
+}
+
+/// Backpressure: the server writes each read's answers before it reads
+/// again, so a peer that pipelines without reading stops being read
+/// (its writes time out) instead of growing server memory — and it
+/// holds up only its own connection.
+#[test]
+fn a_client_that_never_reads_stops_being_read() {
+    within(Duration::from_secs(60), || {
+        let registry = warm_registry(0xB4C, 1);
+        let server =
+            WireServer::start(&registry, "127.0.0.1:0", ServerOptions::default()).expect("bind");
+        let stuck = stuck_client(server.addr());
+        assert!(stuck.is_some(), "server kept reading {STUCK_CAP} bytes nobody read answers to");
+        let mut other = WireClient::connect(server.addr()).expect("connect");
+        assert_eq!(other.call(&Request::Ping).expect("other client served"), Response::Pong);
+        server.stop();
+    });
+}
+
+/// `stop()` closes every kind of connection promptly: idle, holding
+/// half a frame, and blocked writing to a peer that never reads.
+#[test]
+fn stop_returns_promptly_with_idle_half_frame_and_stuck_clients() {
+    within(Duration::from_secs(60), || {
+        let registry = warm_registry(0x5709, 1);
+        let server =
+            WireServer::start(&registry, "127.0.0.1:0", ServerOptions::default()).expect("bind");
+        let addr = server.addr();
+        let mut idle = WireClient::connect(addr).expect("connect");
+        assert_eq!(idle.call(&Request::Ping).expect("idle client served"), Response::Pong);
+        let mut half = TcpStream::connect(addr).expect("connect");
+        let ping = Request::Ping.encode();
+        half.write_all(&ping[..ping.len() / 2]).expect("half a frame");
+        let stuck = stuck_client(addr).expect("server must stop reading the stuck client");
+
+        let started = Instant::now();
+        server.stop();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(2), "stop() took {took:?}");
+        assert!(idle.call(&Request::Ping).is_err(), "idle connection must be closed");
+        drop((half, stuck));
+    });
+}
+
+/// A closed connection frees its slot: with room for one connection,
+/// 200 sequential connect → `Ping` → close cycles are all served and
+/// none is shed. The client closes gracefully (half-close, then read to
+/// EOF); the server frees the slot before it closes its side, so the
+/// next connect always finds it free.
+#[test]
+fn a_closed_connection_frees_its_slot() {
+    within(Duration::from_secs(60), || {
+        let registry = warm_registry(0x1C0, 1);
+        let opts = ServerOptions { max_connections: 1, ..Default::default() };
+        let server = WireServer::start(&registry, "127.0.0.1:0", opts).expect("bind");
+        for cycle in 0..200 {
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            stream.write_all(&Request::Ping.encode()).expect("send ping");
+            stream.shutdown(Shutdown::Write).expect("half-close");
+            let mut reply = Vec::new();
+            stream.read_to_end(&mut reply).expect("read to EOF");
+            assert_eq!(reply, Response::Pong.encode(), "cycle {cycle}");
+        }
+        assert_eq!(server.accept_sheds(), 0);
+        server.stop();
+    });
 }
