@@ -1,25 +1,23 @@
 //! Before/after wall-clock of the histogram construction pipeline across
-//! construction routes and data shapes, written to `BENCH_pipeline.json`
-//! at the repo root.
+//! data shapes, written to `BENCH_pipeline.json` at the repo root.
 //!
 //! ```text
 //! cargo run --release -p samplehist-bench --bin pipeline_bench
 //! SAMPLEHIST_N=1000000 cargo run --release -p samplehist-bench --bin pipeline_bench
-//! cargo run --release -p samplehist-bench --bin pipeline_bench -- --route radix --route sort
 //! cargo run --release -p samplehist-bench --bin pipeline_bench -- --check BENCH_pipeline.json
 //! cargo run --release -p samplehist-bench --bin pipeline_bench -- --compare BENCH_baseline.json
 //! ```
 //!
 //! "Before" is the seed pipeline: clone + full `sort_unstable` +
-//! `from_sorted`. "After" is `from_unsorted_with_route` per explicit
-//! route (selection at uniform shapes, radix with skew-aware slice
-//! refinement on heavy-duplicate Zipf) plus the sort-free
+//! `from_sorted`. "After" is the shape-routed `from_unsorted_in_place`
+//! (the `auto` rows: radix with skew-aware slice refinement whenever
+//! `selection_profitable`, otherwise sort) plus the sort-free
 //! `CompressedHistogram::from_unsorted`. Every timed repetition asserts
 //! the candidate is byte-identical to the sort-path reference. `--check`
 //! validates an existing result file against the JSON schema (the CI
 //! gate — same hand-rolled parser the trace validator uses); `--compare`
 //! gates a fresh `BENCH_pipeline.json` against a blessed baseline,
-//! failing with non-zero exit if any route's `speedup_vs_sort` regressed
+//! failing with non-zero exit if any row's `speedup_vs_sort` regressed
 //! more than 25%.
 
 use std::process::ExitCode;
@@ -31,7 +29,7 @@ use rand::{Rng, SeedableRng};
 use samplehist_core::distinct::FrequencyProfile;
 use samplehist_core::estimate::RangeEstimator;
 use samplehist_core::histogram::{
-    BucketIndex, CompressedHistogram, ConstructionRoute, EquiHeightHistogram,
+    selection_profitable, BucketIndex, CompressedHistogram, EquiHeightHistogram,
 };
 use samplehist_data::DataSpec;
 use samplehist_obs::json::{self, Json};
@@ -45,13 +43,6 @@ const BUCKETS: usize = 600;
 const REPS: usize = 3;
 /// Output / `--check` default path.
 const OUT_PATH: &str = "BENCH_pipeline.json";
-
-const ALL_ROUTES: [ConstructionRoute; 4] = [
-    ConstructionRoute::Auto,
-    ConstructionRoute::Sort,
-    ConstructionRoute::Selection,
-    ConstructionRoute::Radix,
-];
 
 /// Duplicate-heavy uniform: ~10 copies per distinct value on average, the
 /// regime where both bucket counting and profiling do real work.
@@ -99,13 +90,9 @@ struct Row {
     ns_per_op: Option<f64>,
 }
 
-/// Equi-height rows (one per requested route, sort baseline always timed)
-/// plus the compressed sort vs sort-free pair, for one data shape.
-fn bench_distribution(
-    name: &'static str,
-    values: &[i64],
-    routes: &[ConstructionRoute],
-) -> Vec<Row> {
+/// Equi-height sort vs auto rows plus the compressed sort vs sort-free
+/// pair, for one data shape.
+fn bench_distribution(name: &'static str, values: &[i64]) -> Vec<Row> {
     let mut rows = Vec::new();
     let (sort_s, reference) = time_min(|| {
         let mut v = values.to_vec();
@@ -120,42 +107,32 @@ fn bench_distribution(
         speedup_vs_sort: 1.0,
         ns_per_op: None,
     });
-    for &route in routes {
-        if matches!(route, ConstructionRoute::Sort) {
-            continue; // already measured as the baseline
+    // The sort path rearranges its input, so a caller keeping the column
+    // pays a defensive copy — timed, like the baseline's. The radix path
+    // only reads it: no copy to pay.
+    let mutates = !selection_profitable(values.len(), BUCKETS);
+    let mut keep = if mutates { Vec::new() } else { values.to_vec() };
+    let (auto_s, candidate) = time_min(|| {
+        if mutates {
+            let mut v = values.to_vec();
+            EquiHeightHistogram::from_unsorted_in_place(&mut v, BUCKETS)
+        } else {
+            EquiHeightHistogram::from_unsorted_in_place(&mut keep, BUCKETS)
         }
-        // Sort and selection consume/rearrange their input, so a caller
-        // keeping the column pays a defensive copy — timed, like the
-        // baseline's. Radix only reads it: no copy to pay.
-        let mutates = !matches!(route.resolve(values.len(), BUCKETS), ConstructionRoute::Radix);
-        let mut keep = if mutates { Vec::new() } else { values.to_vec() };
-        let (route_s, candidate) = time_min(|| {
-            if mutates {
-                let mut v = values.to_vec();
-                EquiHeightHistogram::from_unsorted_with_route(&mut v, BUCKETS, route)
-            } else {
-                EquiHeightHistogram::from_unsorted_with_route(&mut keep, BUCKETS, route)
-            }
-        });
-        assert_eq!(
-            candidate, reference,
-            "{name}: route {:?} must be byte-identical to the sort path",
-            route
-        );
-        rows.push(Row {
-            distribution: name,
-            kind: "equi_height",
-            route: route.as_str(),
-            seconds: route_s,
-            speedup_vs_sort: sort_s / route_s,
-            ns_per_op: None,
-        });
-        println!(
-            "{name}: equi_height {route} {route_s:.3}s vs sort {sort_s:.3}s  ({speedup:.2}x)",
-            route = route.as_str(),
-            speedup = sort_s / route_s,
-        );
-    }
+    });
+    assert_eq!(candidate, reference, "{name}: auto route must be byte-identical to the sort path");
+    rows.push(Row {
+        distribution: name,
+        kind: "equi_height",
+        route: "auto",
+        seconds: auto_s,
+        speedup_vs_sort: sort_s / auto_s,
+        ns_per_op: None,
+    });
+    println!(
+        "{name}: equi_height auto {auto_s:.3}s vs sort {sort_s:.3}s  ({:.2}x)",
+        sort_s / auto_s
+    );
 
     // Compressed: seed path (clone + sort + from_sorted) vs the sort-free
     // rank-probing path, which never needs a mutable copy at all.
@@ -277,11 +254,7 @@ fn require_str_in(obj: &Json, key: &str, allowed: &[&str]) -> Result<(), String>
 fn check_row(row: &Json) -> Result<(), String> {
     require_str_in(row, "distribution", &["uniform_dup", "zipf_shuffled"])?;
     require_str_in(row, "kind", &["equi_height", "compressed", "lookup"])?;
-    require_str_in(
-        row,
-        "route",
-        &["auto", "sort", "selection", "radix", "sortfree", "scan", "indexed"],
-    )?;
+    require_str_in(row, "route", &["auto", "sort", "sortfree", "scan", "indexed"])?;
     require_positive_f64(row, "seconds")?;
     require_positive_f64(row, "speedup_vs_sort")?;
     if row.get("kind").and_then(Json::as_str) == Some("lookup") {
@@ -298,7 +271,7 @@ fn check_file(path: &str) -> Result<(), String> {
             return Err(format!("{key:?} must be >= 1"));
         }
     }
-    require_str_in(&obj, "auto_route", &["sort", "selection", "radix"])?;
+    require_str_in(&obj, "auto_route", &["sort", "radix"])?;
     match obj.get("clone_seconds").and_then(Json::as_f64) {
         Some(v) if v >= 0.0 => {}
         _ => return Err("missing/negative \"clone_seconds\"".into()),
@@ -324,7 +297,7 @@ fn check_file(path: &str) -> Result<(), String> {
 
 // -- `--compare`: the CI regression gate --------------------------------
 
-/// A route regresses when its `speedup_vs_sort` drops below the
+/// A row regresses when its `speedup_vs_sort` drops below the
 /// baseline's divided by this factor (>25% slower than it was when the
 /// baseline was blessed). Speedups, not raw seconds, so the gate is
 /// portable across runner hardware: both numbers are ratios against the
@@ -398,27 +371,15 @@ fn compare_files(baseline_path: &str, current_path: &str) -> Result<(), String> 
 // -- argument parsing ---------------------------------------------------
 
 struct Args {
-    routes: Vec<ConstructionRoute>,
     check: Option<String>,
     compare: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args { routes: Vec::new(), check: None, compare: None };
+    let mut args = Args { check: None, compare: None };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--route" => {
-                let v = it.next().ok_or("--route needs a value")?;
-                let route = match v.as_str() {
-                    "auto" => ConstructionRoute::Auto,
-                    "sort" => ConstructionRoute::Sort,
-                    "selection" => ConstructionRoute::Selection,
-                    "radix" => ConstructionRoute::Radix,
-                    other => return Err(format!("unknown route {other:?}")),
-                };
-                args.routes.push(route);
-            }
             "--check" => {
                 args.check = Some(it.next().unwrap_or_else(|| OUT_PATH.to_string()));
             }
@@ -428,9 +389,6 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    if args.routes.is_empty() {
-        args.routes.extend(ALL_ROUTES);
-    }
     Ok(args)
 }
 
@@ -439,10 +397,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => {
             eprintln!("pipeline_bench: {e}");
-            eprintln!(
-                "usage: pipeline_bench [--route auto|sort|selection|radix]... [--check [PATH]] \
-                 [--compare BASELINE]"
-            );
+            eprintln!("usage: pipeline_bench [--check [PATH]] [--compare BASELINE]");
             return ExitCode::FAILURE;
         }
     };
@@ -474,7 +429,7 @@ fn main() -> ExitCode {
     // machines with the hardware context attached (a 1-core container
     // legitimately reports parallel == serial).
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let auto_route = ConstructionRoute::Auto.resolve(n, BUCKETS).as_str();
+    let auto_route = if selection_profitable(n, BUCKETS) { "radix" } else { "sort" };
     println!(
         "pipeline bench: n = {n}, k = {BUCKETS}, threads = {threads}/{cores} cores, \
          auto route = {auto_route}, reps = {REPS}"
@@ -483,8 +438,8 @@ fn main() -> ExitCode {
     let uniform = uniform_dup(n, 0x5A17);
     let zipf = zipf_shuffled(n);
 
-    let mut rows = bench_distribution("uniform_dup", &uniform, &args.routes);
-    rows.extend(bench_distribution("zipf_shuffled", &zipf, &args.routes));
+    let mut rows = bench_distribution("uniform_dup", &uniform);
+    rows.extend(bench_distribution("zipf_shuffled", &zipf));
 
     // The clone is shared overhead of every equi-height measurement
     // (each timed run copies the input first); report it so the

@@ -1069,10 +1069,9 @@ fn check_accuracy_file(path: &str) -> Result<(), String> {
                 None => return Err(format!("observed column missing q-error {key:?}")),
             }
         }
-        // Sketch quantiles overstate by at most one sub-bucket (6.25%);
-        // `max` is exact, so it may sit slightly below p99.
+        // Sketch quantiles are capped at the exact tracked max.
         match col.get("max").and_then(Json::as_f64) {
-            Some(m) if m >= 1.0 && prev <= m * (1.0 + 1.0 / 16.0) + 1e-9 => {}
+            Some(m) if m >= 1.0 && prev <= m => {}
             Some(m) => return Err(format!("q-error max = {m} inconsistent with p99 = {prev}")),
             None => return Err("observed column missing q-error \"max\"".into()),
         }

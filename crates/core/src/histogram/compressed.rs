@@ -18,58 +18,28 @@ use crate::estimate::RangeEstimator;
 /// Value arrays shorter than this verify heavy candidates serially.
 const PAR_COUNT_MIN: usize = 1 << 16;
 
-/// Probe size for [`CompressedRoute::Auto`]'s shape detection.
+/// Probe size for the unsorted builders' shape detection.
 const ROUTE_PROBE: usize = 1024;
 
-/// [`CompressedRoute::Auto`] falls back to the sorted builder when at
+/// The unsorted builders fall back to sort + the sorted builder when at
 /// least this fraction of the probe belongs to heavy values.
 const ROUTE_HEAVY_MASS: f64 = 0.5;
 
-/// Which construction strategy the unsorted compressed builders use.
+/// Should the unsorted builders sort a copy and run the sorted builder
+/// instead of the sort-free path? Both are **byte-identical**
+/// (property-tested); the choice is purely about speed. The sort-free
+/// path (rank probing + sort-free equi-height residual) wins on
+/// light-tailed shapes where the residual is most of the column; when
+/// heavy values dominate, its probing and filtering passes are overhead
+/// spent on tuples that end up in the side table anyway, and the bench
+/// numbers favor plain sort + [`CompressedHistogram::from_sorted`].
 ///
-/// Both routes are **byte-identical** (property-tested); the choice is
-/// purely about speed. The sort-free route (rank probing + sort-free
-/// equi-height residual) wins on light-tailed shapes where the residual
-/// is most of the column; when heavy values dominate, its probing and
-/// filtering passes are overhead spent on tuples that end up in the
-/// side table anyway, and the bench numbers favor plain sort +
-/// [`CompressedHistogram::from_sorted`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompressedRoute {
-    /// Probe the shape and pick a concrete route (the default).
-    Auto,
-    /// Rank probing + exact counting + sort-free equi-height residual.
-    SortFree,
-    /// Sort a copy of the input and run the sorted builder.
-    Sorted,
-}
-
-impl CompressedRoute {
-    /// Resolve `Auto` to a concrete route for this input: sample a
-    /// strided probe of ≤ `ROUTE_PROBE` values, sort it, and measure
-    /// the fraction of probe mass in values heavier than `m/k` — the
-    /// probe-scaled image of the builder's own `n/k` threshold. Heavy
-    /// mass ≥ `ROUTE_HEAVY_MASS` routes to [`CompressedRoute::Sorted`].
-    ///
-    /// Deterministic: the probe is strided, not sampled, so the same
-    /// input always takes the same route.
-    pub fn resolve(self, values: &[i64], k: usize) -> CompressedRoute {
-        match self {
-            CompressedRoute::Auto => {
-                if heavy_probe_mass(values, k) >= ROUTE_HEAVY_MASS {
-                    CompressedRoute::Sorted
-                } else {
-                    CompressedRoute::SortFree
-                }
-            }
-            concrete => concrete,
-        }
-    }
-}
-
-/// Estimated fraction of the column carried by heavy values, measured on
-/// a sorted strided probe (see [`CompressedRoute::resolve`]).
-fn heavy_probe_mass(values: &[i64], k: usize) -> f64 {
+/// The rule: sample a strided probe of ≤ `ROUTE_PROBE` values, sort it,
+/// and measure the fraction of probe mass in values heavier than `m/k` —
+/// the probe-scaled image of the builder's own `n/k` threshold. Heavy
+/// mass ≥ `ROUTE_HEAVY_MASS` sorts. Deterministic: the probe is strided,
+/// not sampled, so the same input always takes the same path.
+fn heavy_dominated(values: &[i64], k: usize) -> bool {
     let stride = (values.len() / ROUTE_PROBE).max(1);
     let mut probe: Vec<i64> = values.iter().copied().step_by(stride).collect();
     probe.sort_unstable();
@@ -86,7 +56,7 @@ fn heavy_probe_mass(values: &[i64], k: usize) -> f64 {
             heavy += i - start;
         }
     }
-    heavy as f64 / m as f64
+    heavy as f64 / m as f64 >= ROUTE_HEAVY_MASS
 }
 
 /// A compressed k-histogram: exact singleton buckets for values with
@@ -216,17 +186,17 @@ impl CompressedHistogram {
 
     /// Build from **unsorted** data with a budget of `k` buckets total —
     /// byte-identical to [`Self::from_sorted`] of the sorted data
-    /// (property-tested), routed by shape ([`CompressedRoute::Auto`]).
+    /// (property-tested), routed by shape.
     ///
     /// On light-tailed shapes the heavy values are found by **rank
     /// probing** (see `find_heavy_values`) and verified with one exact
     /// counting pass; the residual multiset is filtered unsorted and
     /// handed to [`EquiHeightHistogram::from_unsorted_threads`], which
-    /// resolves its separator ranks through the selection/radix resolver.
-    /// Total cost: ~5 linear passes, no `O(n log n)` anywhere. When a
-    /// shape probe shows heavy values dominating the column, the builder
-    /// falls back to sort + [`Self::from_sorted`] instead (see
-    /// [`CompressedRoute`]).
+    /// resolves its separator ranks through the radix resolver. Total
+    /// cost: ~5 linear passes, no `O(n log n)` anywhere. When a shape
+    /// probe shows heavy values dominating the column, the builder falls
+    /// back to sort + [`Self::from_sorted`] instead (see
+    /// `heavy_dominated`).
     ///
     /// # Panics
     /// If `values` is empty or `k == 0`.
@@ -237,27 +207,21 @@ impl CompressedHistogram {
     /// [`Self::from_unsorted`] with an explicit thread count (results are
     /// bit-identical at any thread count).
     pub fn from_unsorted_threads(threads: usize, values: &[i64], k: usize) -> Self {
-        Self::from_unsorted_with_route_threads(threads, values, k, CompressedRoute::Auto)
-    }
-
-    /// [`Self::from_unsorted`] with an explicit [`CompressedRoute`]. Every
-    /// route yields byte-identical output; `Auto` picks by shape probing.
-    pub fn from_unsorted_with_route_threads(
-        threads: usize,
-        values: &[i64],
-        k: usize,
-        route: CompressedRoute,
-    ) -> Self {
         assert!(k > 0, "a histogram needs at least one bucket");
         assert!(!values.is_empty(), "cannot build a histogram of an empty value set");
-        if route.resolve(values, k) == CompressedRoute::Sorted {
+        if heavy_dominated(values, k) {
             samplehist_obs::global().counter("histogram.compressed.route.sorted", 1);
             let mut sorted = values.to_vec();
             sorted.sort_unstable();
             return Self::from_sorted(&sorted, k);
         }
-        samplehist_obs::global().counter("histogram.compressed.sortfree", 1);
+        Self::from_unsorted_sortfree(threads, values, k)
+    }
 
+    /// Sort-free path of [`Self::from_unsorted_threads`], whatever the
+    /// input shape.
+    fn from_unsorted_sortfree(threads: usize, values: &[i64], k: usize) -> Self {
+        samplehist_obs::global().counter("histogram.compressed.sortfree", 1);
         let n = values.len() as u64;
         let threshold = n as f64 / k as f64;
         let runs = find_heavy_values(threads, values, threshold, k);
@@ -275,7 +239,7 @@ impl CompressedHistogram {
     /// Sort-free counterpart of [`Self::from_sorted_sample`]:
     /// byte-identical output (heavy counts scaled by `n/r` with the same
     /// float rounding, residual scaled with the same largest-remainder
-    /// rule), but the sample is never sorted.
+    /// rule), routed by shape like [`Self::from_unsorted`].
     ///
     /// # Panics
     /// If the sample is empty, `k == 0`, or the population is smaller
@@ -291,23 +255,6 @@ impl CompressedHistogram {
         k: usize,
         population_total: u64,
     ) -> Self {
-        Self::from_unsorted_sample_with_route_threads(
-            threads,
-            sample,
-            k,
-            population_total,
-            CompressedRoute::Auto,
-        )
-    }
-
-    /// [`Self::from_unsorted_sample`] with an explicit [`CompressedRoute`].
-    pub fn from_unsorted_sample_with_route_threads(
-        threads: usize,
-        sample: &[i64],
-        k: usize,
-        population_total: u64,
-        route: CompressedRoute,
-    ) -> Self {
         assert!(k > 0, "a histogram needs at least one bucket");
         assert!(!sample.is_empty(), "cannot build a histogram from an empty sample");
         assert!(
@@ -315,14 +262,24 @@ impl CompressedHistogram {
             "population ({population_total}) smaller than sample ({})",
             sample.len()
         );
-        if route.resolve(sample, k) == CompressedRoute::Sorted {
+        if heavy_dominated(sample, k) {
             samplehist_obs::global().counter("histogram.compressed.route.sorted", 1);
             let mut sorted = sample.to_vec();
             sorted.sort_unstable();
             return Self::from_sorted_sample(&sorted, k, population_total);
         }
-        samplehist_obs::global().counter("histogram.compressed.sortfree", 1);
+        Self::from_unsorted_sample_sortfree(threads, sample, k, population_total)
+    }
 
+    /// Sort-free path of [`Self::from_unsorted_sample_threads`], whatever
+    /// the sample shape.
+    fn from_unsorted_sample_sortfree(
+        threads: usize,
+        sample: &[i64],
+        k: usize,
+        population_total: u64,
+    ) -> Self {
+        samplehist_obs::global().counter("histogram.compressed.sortfree", 1);
         let r = sample.len() as u64;
         let scale = population_total as f64 / r as f64;
         let threshold = r as f64 / k as f64;
@@ -499,6 +456,7 @@ fn filter_residual(values: &[i64], runs: &[(i64, u64)]) -> Vec<i64> {
 mod tests {
     use super::*;
     use crate::estimate::true_range_count;
+    use proptest::prelude::*;
 
     fn skewed_data() -> Vec<i64> {
         // Value 100 appears 500 times, value 200 appears 300 times, plus
@@ -642,19 +600,14 @@ mod tests {
 
     #[test]
     fn sortfree_matches_sorted_path() {
-        // Explicit SortFree route: skewed_data's heavy mass (0.8) would
+        // Forced sort-free path: skewed_data's heavy mass (0.8) would
         // otherwise auto-route to the sorted builder and test nothing.
         let data = skewed_data();
         let shuffled = strided(&data);
         for k in [1usize, 2, 3, 10, 40] {
             let reference = CompressedHistogram::from_sorted(&data, k);
             for threads in [1usize, 4] {
-                let got = CompressedHistogram::from_unsorted_with_route_threads(
-                    threads,
-                    &shuffled,
-                    k,
-                    CompressedRoute::SortFree,
-                );
+                let got = CompressedHistogram::from_unsorted_sortfree(threads, &shuffled, k);
                 assert_eq!(got, reference, "k={k} threads={threads}");
             }
         }
@@ -667,13 +620,8 @@ mod tests {
         for (k, pop) in [(10usize, 5_000u64), (4, 1_000), (1, 999_999)] {
             let reference = CompressedHistogram::from_sorted_sample(&data, k, pop);
             for threads in [1usize, 4] {
-                let got = CompressedHistogram::from_unsorted_sample_with_route_threads(
-                    threads,
-                    &shuffled,
-                    k,
-                    pop,
-                    CompressedRoute::SortFree,
-                );
+                let got =
+                    CompressedHistogram::from_unsorted_sample_sortfree(threads, &shuffled, k, pop);
                 assert_eq!(got, reference, "k={k} pop={pop} threads={threads}");
             }
         }
@@ -681,15 +629,10 @@ mod tests {
 
     #[test]
     fn sortfree_all_one_value_and_no_heavy_edges() {
-        // Every tuple heavy: empty residual. (Explicit SortFree — auto
+        // Every tuple heavy: empty residual. (Forced sort-free — auto
         // would route this fully-dominated input to the sorted builder.)
         let data = vec![5i64; 100];
-        let h = CompressedHistogram::from_unsorted_with_route_threads(
-            1,
-            &data,
-            4,
-            CompressedRoute::SortFree,
-        );
+        let h = CompressedHistogram::from_unsorted_sortfree(1, &data, 4);
         assert_eq!(h, CompressedHistogram::from_sorted(&data, 4));
         assert!(h.residual().is_none());
 
@@ -712,36 +655,19 @@ mod tests {
         // 90% of the column is one value: sorted builder territory.
         let mut dominated = vec![7i64; 9_000];
         dominated.extend(0..1_000);
-        assert_eq!(CompressedRoute::Auto.resolve(&dominated, 10), CompressedRoute::Sorted);
+        assert!(heavy_dominated(&dominated, 10));
 
         // All-distinct column: no heavy mass at all, stays sort-free.
         let distinct: Vec<i64> = (0..10_000).collect();
-        assert_eq!(CompressedRoute::Auto.resolve(&distinct, 10), CompressedRoute::SortFree);
+        assert!(!heavy_dominated(&distinct, 10));
 
-        // Explicit routes are never second-guessed.
-        assert_eq!(CompressedRoute::Sorted.resolve(&distinct, 10), CompressedRoute::Sorted);
-        assert_eq!(CompressedRoute::SortFree.resolve(&dominated, 10), CompressedRoute::SortFree);
-
-        // And both resolved routes build the same histogram.
-        let shuffled = strided(&{
-            let mut s = dominated.clone();
-            s.sort_unstable();
-            s
-        });
-        let sorted_route = CompressedHistogram::from_unsorted_with_route_threads(
-            1,
-            &shuffled,
-            10,
-            CompressedRoute::Sorted,
-        );
-        let sortfree_route = CompressedHistogram::from_unsorted_with_route_threads(
-            1,
-            &shuffled,
-            10,
-            CompressedRoute::SortFree,
-        );
-        assert_eq!(sorted_route, sortfree_route);
-        assert_eq!(sorted_route, CompressedHistogram::from_unsorted(&shuffled, 10));
+        // And both paths build the same histogram.
+        let mut sorted = dominated;
+        sorted.sort_unstable();
+        let shuffled = strided(&sorted);
+        let sortfree = CompressedHistogram::from_unsorted_sortfree(1, &shuffled, 10);
+        assert_eq!(sortfree, CompressedHistogram::from_sorted(&sorted, 10));
+        assert_eq!(sortfree, CompressedHistogram::from_unsorted(&shuffled, 10));
     }
 
     #[test]
@@ -754,5 +680,98 @@ mod tests {
     #[should_panic(expected = "empty value set")]
     fn sortfree_empty_rejected() {
         let _ = CompressedHistogram::from_unsorted(&[], 4);
+    }
+
+    /// Heavy-duplicate Zipf-like multisets: a few runs big enough to trip
+    /// the radix refinement's heavy-slice detector (≥ 8192 tuples per
+    /// run, and heavy mass dominating `n`), plus a light scattered tail,
+    /// over a domain wide enough that the top radix pass cannot resolve
+    /// values exactly.
+    fn skewed_multiset(domain: i64) -> impl Strategy<Value = Vec<i64>> {
+        let heavy = prop::collection::vec((-domain..domain, 9000usize..12_000), 1..4);
+        let light = prop::collection::vec(-domain..domain, 0..1500);
+        (heavy, light).prop_map(|(heavy, light)| {
+            let mut v: Vec<i64> = Vec::new();
+            for (val, c) in heavy {
+                v.resize(v.len() + c, val);
+            }
+            v.extend(light);
+            v
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The sort-free compressed histogram (rank probing + exact
+        /// counting, no global order ever established) equals the
+        /// sort-based one on heavy-duplicate multisets — plain and
+        /// sampled, serial and parallel. The sort-free path is forced:
+        /// these skewed inputs would otherwise auto-route to the sorted
+        /// builder and test nothing.
+        #[test]
+        fn sortfree_compressed_equals_sort_path(
+            data in skewed_multiset(1 << 32),
+            k in 1usize..24,
+            extra_pop in 0u64..50_000,
+        ) {
+            super::super::test_recording();
+            let mut sorted = data.clone();
+            sorted.sort_unstable();
+            let reference = CompressedHistogram::from_sorted(&sorted, k);
+            let pop = data.len() as u64 + extra_pop;
+            let sampled_reference = CompressedHistogram::from_sorted_sample(&sorted, k, pop);
+            for threads in [1usize, 4] {
+                prop_assert_eq!(
+                    &CompressedHistogram::from_unsorted_sortfree(threads, &data, k),
+                    &reference,
+                    "threads = {}", threads
+                );
+                prop_assert_eq!(
+                    &CompressedHistogram::from_unsorted_sample_sortfree(threads, &data, k, pop),
+                    &sampled_reference,
+                    "sampled, threads = {}", threads
+                );
+            }
+        }
+
+        /// The shape routing is invisible in the output: for mixtures
+        /// sweeping the heavy-mass fraction across the routing
+        /// threshold, the forced sort-free path and the shape-routed
+        /// entry point both equal the sorted builder (which is also the
+        /// heavy-dominated path), plain and sampled.
+        #[test]
+        fn compressed_routing_is_byte_invisible(
+            heavy_count in 0usize..4000,
+            light in prop::collection::vec(-1000i64..1000, 2000usize),
+            k in 2usize..16,
+            extra_pop in 0u64..50_000,
+        ) {
+            // heavy fraction = heavy_count / (heavy_count + 2000) ∈ [0, 0.67):
+            // cases land on both sides of the 0.5 routing threshold.
+            let mut data = vec![123i64; heavy_count];
+            data.extend(light);
+            let mut sorted = data.clone();
+            sorted.sort_unstable();
+            let reference = CompressedHistogram::from_sorted(&sorted, k);
+            let pop = data.len() as u64 + extra_pop;
+            let sampled_reference = CompressedHistogram::from_sorted_sample(&sorted, k, pop);
+            prop_assert_eq!(
+                &CompressedHistogram::from_unsorted_sortfree(1, &data, k),
+                &reference,
+                "sortfree"
+            );
+            prop_assert_eq!(&CompressedHistogram::from_unsorted_threads(1, &data, k), &reference, "auto");
+            prop_assert_eq!(
+                &CompressedHistogram::from_unsorted_sample_sortfree(1, &data, k, pop),
+                &sampled_reference,
+                "sampled sortfree"
+            );
+            prop_assert_eq!(
+                &CompressedHistogram::from_unsorted_sample_threads(1, &data, k, pop),
+                &sampled_reference,
+                "sampled auto"
+            );
+        }
     }
 }

@@ -6,7 +6,6 @@ use samplehist_parallel as parallel;
 
 use super::bucket_counts;
 use super::radix;
-use super::selection;
 
 /// An equi-height *k*-histogram (paper Section 2.1).
 ///
@@ -27,55 +26,6 @@ pub struct EquiHeightHistogram {
     total: u64,
     min_value: i64,
     max_value: i64,
-}
-
-/// Construction engine for the `from_unsorted*` constructors.
-///
-/// Every route produces **byte-identical** histograms (property-tested
-/// in `crates/core/tests/properties.rs`); they differ only in cost.
-/// `Auto` applies the decision rule documented in DESIGN.md §6; the
-/// explicit routes exist for benchmarking ([`ConstructionRoute`] rows in
-/// `pipeline_bench`) and for pinning a path in tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConstructionRoute {
-    /// Pick by input shape: radix when
-    /// [`selection::selection_profitable`], otherwise sort.
-    Auto,
-    /// (Parallel-)sort in place, then [`EquiHeightHistogram::from_sorted`].
-    Sort,
-    /// Comparison-based multi-select — the property-tested O(n log k)
-    /// reference, partitions the input in place.
-    Selection,
-    /// Radix-count rank resolution (`radix`) — ~3 linear passes,
-    /// skew-adaptive, never rearranges the input.
-    Radix,
-}
-
-impl ConstructionRoute {
-    /// The concrete route `Auto` resolves to for an input shape; the
-    /// explicit routes return themselves.
-    pub fn resolve(self, n: usize, k: usize) -> Self {
-        match self {
-            ConstructionRoute::Auto => {
-                if selection::selection_profitable(n, k) {
-                    ConstructionRoute::Radix
-                } else {
-                    ConstructionRoute::Sort
-                }
-            }
-            other => other,
-        }
-    }
-
-    /// Stable lowercase name (bench JSON rows, trace fields).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ConstructionRoute::Auto => "auto",
-            ConstructionRoute::Sort => "sort",
-            ConstructionRoute::Selection => "selection",
-            ConstructionRoute::Radix => "radix",
-        }
-    }
 }
 
 /// A read-only view of one bucket, yielded by
@@ -139,43 +89,23 @@ impl EquiHeightHistogram {
     /// If the sample is empty, not sorted, `k == 0`, or
     /// `population_total < sample.len()`.
     pub fn from_sorted_sample(sample: &[i64], k: usize, population_total: u64) -> Self {
-        assert!(k > 0, "a histogram needs at least one bucket");
-        assert!(!sample.is_empty(), "cannot build a histogram from an empty sample");
-        assert!(
-            population_total >= sample.len() as u64,
-            "population ({population_total}) smaller than sample ({})",
-            sample.len()
-        );
-        debug_assert!(sample.windows(2).all(|w| w[0] <= w[1]), "sample must be sorted");
-
-        let separators = quantile_separators(sample, k);
-        let sample_counts = bucket_counts(sample, &separators);
-        let counts =
-            scale_counts_largest_remainder(&sample_counts, sample.len() as u64, population_total);
-        Self {
-            separators,
-            counts,
-            total: population_total,
-            min_value: sample[0],
-            max_value: *sample.last().expect("non-empty"),
-        }
+        assert_sample_shape(sample, k, population_total);
+        Self::from_sorted(sample, k).scaled_to(population_total)
     }
 
     /// Build the perfect equi-height k-histogram from **unsorted** data,
-    /// choosing the cheapest construction path by input shape:
+    /// choosing the cheaper construction path by input shape:
     ///
-    /// * large inputs with few separators (see
-    ///   [`selection::selection_profitable`]) resolve the `k−1` separator
-    ///   ranks and their `count_le` by radix counting
-    ///   (`radix`) — ~3 linear passes, no sort;
+    /// * large inputs with few separators (see [`super::selection_profitable`])
+    ///   resolve the `k−1` separator ranks and their `count_le` by radix
+    ///   counting (`radix`) — ~3 linear passes, no sort;
     /// * everything else is (parallel-)sorted and handed to
     ///   [`Self::from_sorted`].
     ///
-    /// All paths — this one, [`Self::from_sorted`] after a sort, and the
-    /// comparison-based [`selection::select_separators`] — produce
-    /// **byte-identical** histograms (property-tested in
-    /// `crates/core/tests/properties.rs`): separators are order
-    /// statistics, counts follow the order-independent domain rule.
+    /// Both paths produce **byte-identical** histograms (property-tested
+    /// against sort + [`Self::from_sorted`]): separators are order
+    /// statistics, counts follow the order-independent domain rule. The
+    /// `histogram.route.*` counter records the path taken.
     ///
     /// # Panics
     /// If `values` is empty or `k == 0`.
@@ -184,70 +114,56 @@ impl EquiHeightHistogram {
     }
 
     /// [`Self::from_unsorted`] without taking ownership: the caller's
-    /// buffer may be rearranged (sorted or partitioned) depending on the
-    /// route but is never reallocated.
+    /// buffer may be sorted in place (on the sort path) but is never
+    /// reallocated.
     pub fn from_unsorted_in_place(values: &mut [i64], k: usize) -> Self {
-        Self::from_unsorted_with_route_threads(
-            parallel::num_threads(),
-            values,
-            k,
-            ConstructionRoute::Auto,
-        )
+        Self::from_unsorted_threads(parallel::num_threads(), values, k)
     }
 
     /// [`Self::from_unsorted_in_place`] with an explicit thread count
     /// (results are bit-identical at any thread count).
-    pub fn from_unsorted_threads(threads: usize, values: &mut [i64], k: usize) -> Self {
-        Self::from_unsorted_with_route_threads(threads, values, k, ConstructionRoute::Auto)
-    }
-
-    /// [`Self::from_unsorted_in_place`] with an explicit
-    /// [`ConstructionRoute`] instead of the `Auto` shape rule.
-    pub fn from_unsorted_with_route(
-        values: &mut [i64],
-        k: usize,
-        route: ConstructionRoute,
-    ) -> Self {
-        Self::from_unsorted_with_route_threads(parallel::num_threads(), values, k, route)
-    }
-
-    /// The fully explicit construction entry point: route and thread
-    /// count chosen by the caller. All routes produce byte-identical
-    /// histograms; the `histogram.route.*` counter records the concrete
-    /// route taken.
     ///
     /// # Panics
     /// If `values` is empty or `k == 0`.
-    pub fn from_unsorted_with_route_threads(
-        threads: usize,
-        values: &mut [i64],
-        k: usize,
-        route: ConstructionRoute,
-    ) -> Self {
+    pub fn from_unsorted_threads(threads: usize, values: &mut [i64], k: usize) -> Self {
         assert!(k > 0, "a histogram needs at least one bucket");
         assert!(!values.is_empty(), "cannot build a histogram of an empty value set");
-        let total = values.len() as u64;
-        match route.resolve(values.len(), k) {
-            ConstructionRoute::Sort => {
-                samplehist_obs::global().counter("histogram.route.sort", 1);
-                parallel::par_sort_unstable_threads(threads, values);
-                Self::from_sorted(values, k)
-            }
-            ConstructionRoute::Selection => {
-                samplehist_obs::global().counter("histogram.route.selection", 1);
-                let (ranks, separators) = selection::select_partition(values, k);
-                let counts = selection::bucket_counts_partitioned(values, &ranks, &separators);
-                let (min_value, max_value) = selection::min_max_partitioned(values, &ranks);
-                Self { separators, counts, total, min_value, max_value }
-            }
-            ConstructionRoute::Radix => {
-                samplehist_obs::global().counter("histogram.route.radix", 1);
-                let (separators, counts, min_value, max_value) =
-                    resolve_via_radix(threads, values, k);
-                Self { separators, counts, total, min_value, max_value }
-            }
-            ConstructionRoute::Auto => unreachable!("resolve() returns a concrete route"),
+        if radix::selection_profitable(values.len(), k) {
+            Self::from_unsorted_radix(threads, values, k)
+        } else {
+            Self::from_unsorted_sort(threads, values, k)
         }
+    }
+
+    /// Sort path of [`Self::from_unsorted_threads`]: (parallel-)sort in
+    /// place, then [`Self::from_sorted`].
+    fn from_unsorted_sort(threads: usize, values: &mut [i64], k: usize) -> Self {
+        samplehist_obs::global().counter("histogram.route.sort", 1);
+        parallel::par_sort_unstable_threads(threads, values);
+        Self::from_sorted(values, k)
+    }
+
+    /// Radix path of [`Self::from_unsorted_threads`], whatever the input
+    /// shape: resolve the separator ranks of `values` by radix counting
+    /// and turn the returned `(value, count_le)` pairs into bucket counts
+    /// — the same consecutive-difference formula [`bucket_counts`]
+    /// applies to sorted data. Never rearranges the input.
+    pub(super) fn from_unsorted_radix(threads: usize, values: &[i64], k: usize) -> Self {
+        samplehist_obs::global().counter("histogram.route.radix", 1);
+        let ranks = radix::separator_ranks(values.len(), k);
+        let resolution = radix::resolve_ranks_threads(threads, values, &ranks);
+        let mut separators = Vec::with_capacity(k - 1);
+        let mut counts = Vec::with_capacity(k);
+        let mut prev = 0u64;
+        for (v, le) in resolution.entries {
+            separators.push(v);
+            debug_assert!(le >= prev);
+            counts.push(le - prev);
+            prev = le;
+        }
+        let total = values.len() as u64;
+        counts.push(total - prev);
+        Self { separators, counts, total, min_value: resolution.min, max_value: resolution.max }
     }
 
     /// Convenience wrapper over [`Self::from_sorted_sample`] accepting an
@@ -264,78 +180,32 @@ impl EquiHeightHistogram {
         k: usize,
         population_total: u64,
     ) -> Self {
-        Self::from_unsorted_sample_with_route_threads(
-            parallel::num_threads(),
-            sample,
-            k,
-            population_total,
-            ConstructionRoute::Auto,
-        )
+        Self::from_unsorted_sample_threads(parallel::num_threads(), sample, k, population_total)
     }
 
     /// [`Self::from_unsorted_sample_in_place`] with an explicit thread
-    /// count.
+    /// count; counts are scaled with the same largest-remainder rule as
+    /// [`Self::from_sorted_sample`].
+    ///
+    /// # Panics
+    /// If the sample is empty, `k == 0`, or
+    /// `population_total < sample.len()`.
     pub fn from_unsorted_sample_threads(
         threads: usize,
         sample: &mut [i64],
         k: usize,
         population_total: u64,
     ) -> Self {
-        Self::from_unsorted_sample_with_route_threads(
-            threads,
-            sample,
-            k,
-            population_total,
-            ConstructionRoute::Auto,
-        )
+        assert_sample_shape(sample, k, population_total);
+        Self::from_unsorted_threads(threads, sample, k).scaled_to(population_total)
     }
 
-    /// Fully explicit sampled construction: route and thread count
-    /// chosen by the caller; counts are scaled with the same
-    /// largest-remainder rule as [`Self::from_sorted_sample`].
-    ///
-    /// # Panics
-    /// If the sample is empty, `k == 0`, or
-    /// `population_total < sample.len()`.
-    pub fn from_unsorted_sample_with_route_threads(
-        threads: usize,
-        sample: &mut [i64],
-        k: usize,
-        population_total: u64,
-        route: ConstructionRoute,
-    ) -> Self {
-        assert!(k > 0, "a histogram needs at least one bucket");
-        assert!(!sample.is_empty(), "cannot build a histogram from an empty sample");
-        assert!(
-            population_total >= sample.len() as u64,
-            "population ({population_total}) smaller than sample ({})",
-            sample.len()
-        );
-        let r = sample.len() as u64;
-        match route.resolve(sample.len(), k) {
-            ConstructionRoute::Sort => {
-                samplehist_obs::global().counter("histogram.route.sort", 1);
-                parallel::par_sort_unstable_threads(threads, sample);
-                Self::from_sorted_sample(sample, k, population_total)
-            }
-            ConstructionRoute::Selection => {
-                samplehist_obs::global().counter("histogram.route.selection", 1);
-                let (ranks, separators) = selection::select_partition(sample, k);
-                let sample_counts =
-                    selection::bucket_counts_partitioned(sample, &ranks, &separators);
-                let counts = scale_counts_largest_remainder(&sample_counts, r, population_total);
-                let (min_value, max_value) = selection::min_max_partitioned(sample, &ranks);
-                Self { separators, counts, total: population_total, min_value, max_value }
-            }
-            ConstructionRoute::Radix => {
-                samplehist_obs::global().counter("histogram.route.radix", 1);
-                let (separators, sample_counts, min_value, max_value) =
-                    resolve_via_radix(threads, sample, k);
-                let counts = scale_counts_largest_remainder(&sample_counts, r, population_total);
-                Self { separators, counts, total: population_total, min_value, max_value }
-            }
-            ConstructionRoute::Auto => unreachable!("resolve() returns a concrete route"),
-        }
+    /// This histogram of a sample, with its counts scaled up to a
+    /// population of `population_total` tuples by largest-remainder
+    /// rounding (so they still sum to exactly the new total).
+    fn scaled_to(self, population_total: u64) -> Self {
+        let counts = scale_counts_largest_remainder(&self.counts, self.total, population_total);
+        Self { counts, total: population_total, ..self }
     }
 
     /// Assemble a histogram from raw parts. Used by tests and by the
@@ -473,25 +343,15 @@ impl EquiHeightHistogram {
     }
 }
 
-/// Sortless construction core: resolve the separator ranks of `values`
-/// by radix counting and turn the returned `(value, count_le)` pairs
-/// into `(separators, bucket counts, min, max)` — the same
-/// consecutive-difference formula [`bucket_counts`] applies to sorted
-/// data, so the result is byte-identical to the sort path.
-fn resolve_via_radix(threads: usize, values: &[i64], k: usize) -> (Vec<i64>, Vec<u64>, i64, i64) {
-    let ranks = selection::separator_ranks(values.len(), k);
-    let resolution = radix::resolve_ranks_threads(threads, values, &ranks);
-    let mut separators = Vec::with_capacity(k - 1);
-    let mut counts = Vec::with_capacity(k);
-    let mut prev = 0u64;
-    for (v, le) in resolution.entries {
-        separators.push(v);
-        debug_assert!(le >= prev);
-        counts.push(le - prev);
-        prev = le;
-    }
-    counts.push(values.len() as u64 - prev);
-    (separators, counts, resolution.min, resolution.max)
+/// The argument contract of the sampled constructors.
+fn assert_sample_shape(sample: &[i64], k: usize, population_total: u64) {
+    assert!(k > 0, "a histogram needs at least one bucket");
+    assert!(!sample.is_empty(), "cannot build a histogram from an empty sample");
+    assert!(
+        population_total >= sample.len() as u64,
+        "population ({population_total}) smaller than sample ({})",
+        sample.len()
+    );
 }
 
 /// Separators of the equi-height k-histogram of `sorted`: the values at
@@ -727,7 +587,7 @@ mod tests {
     #[test]
     fn from_unsorted_matches_sorted_path_on_both_routes() {
         // Small input: routed through sort. Large input: routed through
-        // selection. Either way the result must equal from_sorted exactly.
+        // radix. Either way the result must equal from_sorted exactly.
         for (n, k) in [(100usize, 7usize), (20_000, 64), (20_000, 599)] {
             let data = noisy(n, 97);
             let mut sorted = data.clone();
@@ -755,28 +615,39 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "population")]
-    fn from_unsorted_sample_rejects_small_population_on_selection_path() {
-        // Large enough to take the selection route: the population assert
+    fn from_unsorted_sample_rejects_small_population_on_radix_path() {
+        // Large enough to take the radix route: the population assert
         // must still fire with the same message as the sorted path.
         let sample: Vec<i64> = (0..20_000).collect();
         let _ = EquiHeightHistogram::from_unsorted_sample(sample, 10, 100);
     }
 
+    /// The shape-routed entry point and both private paths it picks from,
+    /// each private path forced whatever the input shape.
+    fn every_path(
+        threads: usize,
+        data: &[i64],
+        k: usize,
+    ) -> [(&'static str, EquiHeightHistogram); 3] {
+        let mut auto = data.to_vec();
+        let mut sort = data.to_vec();
+        [
+            ("auto", EquiHeightHistogram::from_unsorted_threads(threads, &mut auto, k)),
+            ("sort", EquiHeightHistogram::from_unsorted_sort(threads, &mut sort, k)),
+            ("radix", EquiHeightHistogram::from_unsorted_radix(threads, data, k)),
+        ]
+    }
+
     #[test]
     fn explicit_routes_agree_byte_for_byte() {
-        use ConstructionRoute::{Auto, Radix, Selection, Sort};
         for (n, k) in [(10_000usize, 64usize), (20_000, 599)] {
             let data = noisy(n, 97);
             let mut sorted = data.clone();
             sorted.sort_unstable();
             let reference = EquiHeightHistogram::from_sorted(&sorted, k);
-            for route in [Auto, Sort, Selection, Radix] {
-                for threads in [1usize, 4] {
-                    let mut work = data.clone();
-                    let h = EquiHeightHistogram::from_unsorted_with_route_threads(
-                        threads, &mut work, k, route,
-                    );
-                    assert_eq!(h, reference, "route={route:?} threads={threads} n={n} k={k}");
+            for threads in [1usize, 4] {
+                for (route, h) in every_path(threads, &data, k) {
+                    assert_eq!(h, reference, "route={route} threads={threads} n={n} k={k}");
                 }
             }
         }
@@ -784,32 +655,19 @@ mod tests {
 
     #[test]
     fn explicit_routes_agree_on_samples() {
-        use ConstructionRoute::{Auto, Radix, Selection, Sort};
         let data = noisy(15_000, 41);
         let mut sorted = data.clone();
         sorted.sort_unstable();
         let pop = 123_457u64;
         let reference = EquiHeightHistogram::from_sorted_sample(&sorted, 100, pop);
-        for route in [Auto, Sort, Selection, Radix] {
-            for threads in [1usize, 4] {
-                let mut work = data.clone();
-                let h = EquiHeightHistogram::from_unsorted_sample_with_route_threads(
-                    threads, &mut work, 100, pop, route,
-                );
-                assert_eq!(h, reference, "route={route:?} threads={threads}");
+        for threads in [1usize, 4] {
+            let mut auto = data.clone();
+            let h = EquiHeightHistogram::from_unsorted_sample_threads(threads, &mut auto, 100, pop);
+            assert_eq!(h, reference, "route=auto threads={threads}");
+            for (route, h) in every_path(threads, &data, 100) {
+                assert_eq!(h.scaled_to(pop), reference, "route={route} threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn auto_route_resolves_by_shape() {
-        use ConstructionRoute::{Auto, Radix, Selection, Sort};
-        assert_eq!(Auto.resolve(100, 10), Sort, "small input sorts");
-        assert_eq!(Auto.resolve(1 << 20, 600), Radix, "large input takes radix");
-        assert_eq!(Sort.resolve(1 << 20, 600), Sort, "explicit route sticks");
-        assert_eq!(Selection.resolve(10, 3), Selection);
-        assert_eq!(Radix.as_str(), "radix");
-        assert_eq!(Auto.as_str(), "auto");
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //!
 //! The batched entry points ([`BucketIndex::estimate_range_batch`],
 //! [`CompressedIndex::estimate_eq_batch`]) interleave eight descent
-//! cursors per tree level — the same eight-lane template as
-//! `selection::min_max` — so the level loop is straight-line lane math
+//! cursors per tree level — the same eight-lane template as the radix
+//! resolver's `min_max` — so the level loop is straight-line lane math
 //! the compiler can vectorize, with per-probe arithmetic in a scalar
 //! epilogue.
 //!

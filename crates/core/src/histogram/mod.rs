@@ -32,17 +32,16 @@ mod equi_width;
 pub mod index;
 mod maintained;
 mod radix;
-pub mod selection;
 
 pub use builder::HistogramBuilder;
-pub use compressed::{CompressedHistogram, CompressedRoute};
-pub use equi_height::{BucketRef, ConstructionRoute, EquiHeightHistogram};
+pub use compressed::CompressedHistogram;
+pub use equi_height::{BucketRef, EquiHeightHistogram};
 pub use equi_width::EquiWidthHistogram;
 pub use index::{BucketIndex, CompressedIndex};
 pub use maintained::{
     MaintainedHistogram, PatchOutcome, PatchPolicy, PatchRefusal, PatchableStats, PatchedStats,
 };
-pub use selection::{bucket_counts_unsorted, select_separators, selection_profitable};
+pub use radix::selection_profitable;
 
 /// Number of elements of the **sorted** slice that are `≤ v`.
 ///
@@ -75,6 +74,23 @@ pub fn bucket_counts(sorted: &[i64], separators: &[i64]) -> Vec<u64> {
     }
     counts.push((sorted.len() - prev) as u64);
     counts
+}
+
+/// Install, once per test binary, a process-global Prometheus recorder
+/// and return its sink, so byte-identity tests run with recording
+/// *enabled* (recording must never perturb results) and counter tests
+/// can read what the paths under test emitted. Other tests in the same
+/// binary record into the same sink, so counter reads are lower bounds.
+#[cfg(test)]
+fn test_recording() -> std::sync::Arc<samplehist_obs::PromSink> {
+    use std::sync::{Arc, OnceLock};
+    static SINK: OnceLock<Arc<samplehist_obs::PromSink>> = OnceLock::new();
+    SINK.get_or_init(|| {
+        let prom = Arc::new(samplehist_obs::PromSink::new());
+        samplehist_obs::set_global(samplehist_obs::Recorder::with_sinks(vec![prom.clone()]));
+        prom
+    })
+    .clone()
 }
 
 #[cfg(test)]

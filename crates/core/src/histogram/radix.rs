@@ -56,8 +56,6 @@
 
 use samplehist_parallel as parallel;
 
-use super::selection;
-
 /// Slice-index width per recursion level (2^16 = 65536 counters, 512 KB:
 /// L2-resident, and narrow enough that a slice of a 10⁷-element column
 /// holds only ~150 elements — the gathered residue rounds to nothing).
@@ -105,6 +103,68 @@ const MAX_LEVELS: usize = 5;
 /// `slot_of` tag bit: the slice was refined (low bits = block index)
 /// rather than assigned a gather job.
 const REFINED_TAG: u32 = 1 << 31;
+
+/// Inputs shorter than this are cheaper to sort outright than to
+/// resolve by radix counting (the fixed counting costs dominate).
+const SORT_FREE_MIN_N: usize = 8 * 1024;
+
+/// Rank resolution stops paying once the histogram wants a constant
+/// fraction of the input as separators: require `(k−1) · 8 ≤ n`.
+const SORT_FREE_MAX_K_FRACTION: usize = 8;
+
+/// Should an input of `n` values and `k` buckets resolve its separators
+/// by radix counting instead of sort-then-index? The routing rule behind
+/// `EquiHeightHistogram::from_unsorted*` (see DESIGN.md "Performance
+/// architecture").
+pub fn selection_profitable(n: usize, k: usize) -> bool {
+    k >= 2 && n >= SORT_FREE_MIN_N && (k - 1).saturating_mul(SORT_FREE_MAX_K_FRACTION) <= n
+}
+
+/// The 0-based ranks of the equi-height separators: `⌈j·n/k⌉ − 1` for
+/// `j = 1 … k−1` (the same ranks `from_sorted` reads; non-decreasing and
+/// possibly repeated when `k > n`).
+pub(super) fn separator_ranks(n: usize, k: usize) -> Vec<usize> {
+    let n = n as u64;
+    (1..k as u64).map(|j| (crate::math::div_ceil_u64(j * n, k as u64) - 1) as usize).collect()
+}
+
+/// Smallest and largest element of a non-empty, arbitrarily ordered
+/// slice (chunk-parallel for large inputs; min/max are associative and
+/// commutative, so the result is schedule-independent).
+fn min_max(values: &[i64]) -> (i64, i64) {
+    assert!(!values.is_empty(), "min_max of an empty value set");
+    let threads = parallel::num_threads();
+    if threads <= 1 || values.len() < PAR_COUNT_MIN {
+        return min_max_chunk(values);
+    }
+    parallel::par_chunks_map(threads, values, threads, min_max_chunk)
+        .into_iter()
+        .reduce(|(lo_a, hi_a), (lo_b, hi_b)| (lo_a.min(lo_b), hi_a.max(hi_b)))
+        .expect("non-empty input yields at least one chunk")
+}
+
+fn min_max_chunk(values: &[i64]) -> (i64, i64) {
+    // Eight independent accumulator lanes break the fold's loop-carried
+    // dependency, letting the compiler vectorize/pipeline the scan —
+    // this runs once over the full column, so the scalar chain's ~4×
+    // penalty is measurable at bench scale.
+    let mut lo_lanes = [i64::MAX; 8];
+    let mut hi_lanes = [i64::MIN; 8];
+    let mut chunks = values.chunks_exact(8);
+    for chunk in &mut chunks {
+        for i in 0..8 {
+            lo_lanes[i] = lo_lanes[i].min(chunk[i]);
+            hi_lanes[i] = hi_lanes[i].max(chunk[i]);
+        }
+    }
+    let (mut lo, mut hi) =
+        chunks.remainder().iter().fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    for i in 0..8 {
+        lo = lo.min(lo_lanes[i]);
+        hi = hi.max(hi_lanes[i]);
+    }
+    (lo, hi)
+}
 
 /// Reusable per-level buffers for [`resolve_ranks_with`]: counter and
 /// prefix arrays, the slice→slot maps, and a pool of gather buffers.
@@ -194,7 +254,7 @@ pub(super) fn resolve_ranks_with(
     let mut span = samplehist_obs::global().span("radix.resolve");
     span.field("n", values.len());
     span.field("ranks", ranks.len());
-    let (min, max) = selection::min_max(values);
+    let (min, max) = min_max(values);
     if scratch.levels.len() < MAX_LEVELS {
         scratch.levels.resize_with(MAX_LEVELS, LevelScratch::default);
     }
@@ -483,7 +543,7 @@ fn resolve_job(
         // Recurse with the job's *actual* value range (tighter than the
         // slice bounds), shrinking the span per level.
         samplehist_obs::global().counter("radix.slices_recursed", 1);
-        let (lo, hi) = selection::min_max(&job.elems);
+        let (lo, hi) = min_max(&job.elems);
         resolve_in_range(&job.elems, &job.locals, lo, hi, threads, deeper)
     } else {
         samplehist_obs::global().counter("radix.slices_sorted", 1);
@@ -537,13 +597,13 @@ fn resolve_exact<C: Copy + Into<u64>>(ranks: &[usize], min: i64, counts: &[C]) -
 }
 
 /// Lanes per unrolled step of the counting kernels, matching
-/// [`selection`]'s `min_max` accumulator width.
+/// [`min_max_chunk`]'s accumulator width.
 const COUNT_LANES: usize = 8;
 
 /// Eight-lane unrolled tally with u32 counters: the slice-index math
 /// (`abs_diff` — pure data-parallel arithmetic) is lifted into a
 /// fixed-width lane loop the compiler can vectorize, leaving only the
-/// scatter increments scalar. Same template as `selection::min_max`.
+/// scatter increments scalar. Same template as [`min_max_chunk`].
 #[inline]
 fn count_exact32_chunk(values: &[i64], min: i64, counts: &mut [u32]) {
     let mut lanes = [0usize; COUNT_LANES];
@@ -701,10 +761,6 @@ mod tests {
             .collect()
     }
 
-    fn spread_ranks(n: usize, k: usize) -> Vec<usize> {
-        super::super::selection::separator_ranks(n, k)
-    }
-
     /// Heavy runs (each ≥ RECURSE_MIN, triggering refinement) spread
     /// over `domain`, padded with a light noisy tail.
     fn skewed(domain: u64, heavy_runs: usize, seed: u64) -> Vec<i64> {
@@ -733,7 +789,7 @@ mod tests {
             (50_000, 65, 600),           // heavy duplicates, many equal separators
         ] {
             let values = noisy(n, domain, 0xABCD + n as u64);
-            let ranks = spread_ranks(n, k);
+            let ranks = separator_ranks(n, k);
             let got = resolve_ranks(&values, &ranks);
             assert_eq!(got.entries, reference(&values, &ranks), "n={n} domain={domain} k={k}");
             assert_eq!(got.min, *values.iter().min().expect("non-empty"));
@@ -749,7 +805,7 @@ mod tests {
         let mut values = vec![42i64; RECURSE_MIN * 2];
         values.extend(noisy(RECURSE_MIN, 1000, 0x77));
         values.push(i64::MAX / 2);
-        let ranks = spread_ranks(values.len(), 50);
+        let ranks = separator_ranks(values.len(), 50);
         let got = resolve_ranks(&values, &ranks);
         assert_eq!(got.entries, reference(&values, &ranks));
     }
@@ -762,7 +818,7 @@ mod tests {
         for heavy_runs in [1usize, 3, 8] {
             let values = skewed(1 << 32, heavy_runs, 0xBEEF);
             for k in [2usize, 17, 128] {
-                let ranks = spread_ranks(values.len(), k);
+                let ranks = separator_ranks(values.len(), k);
                 let got = resolve_ranks(&values, &ranks);
                 assert_eq!(got.entries, reference(&values, &ranks), "runs={heavy_runs} k={k}");
             }
@@ -776,7 +832,7 @@ mod tests {
         for heavy_runs in [1usize, 4] {
             let values = skewed(1 << 45, heavy_runs, 0xD00D);
             for k in [5usize, 64] {
-                let ranks = spread_ranks(values.len(), k);
+                let ranks = separator_ranks(values.len(), k);
                 let got = resolve_ranks(&values, &ranks);
                 assert_eq!(got.entries, reference(&values, &ranks), "runs={heavy_runs} k={k}");
             }
@@ -788,7 +844,7 @@ mod tests {
         let mut scratch = Scratch::new();
         for seed in [0x1111u64, 0x2222, 0x3333] {
             let values = skewed(1 << 32, 4, seed);
-            let ranks = spread_ranks(values.len(), 40);
+            let ranks = separator_ranks(values.len(), 40);
             let expect = reference(&values, &ranks);
             for threads in [1usize, 4] {
                 let got = resolve_ranks_with(threads, &values, &ranks, &mut scratch);
@@ -799,14 +855,11 @@ mod tests {
 
     #[test]
     fn refinement_reports_split_and_residue_counters() {
-        use samplehist_obs::{PromSink, Recorder};
-        use std::sync::Arc;
         // Process-global recorder: other tests in this binary may also
         // record, so assertions are lower bounds on our own traffic.
-        let prom = Arc::new(PromSink::new());
-        samplehist_obs::set_global(Recorder::with_sinks(vec![prom.clone()]));
+        let prom = super::super::test_recording();
         let values = skewed(1 << 32, 4, 0xCAFE);
-        let ranks = spread_ranks(values.len(), 64);
+        let ranks = separator_ranks(values.len(), 64);
         let got = resolve_ranks(&values, &ranks);
         assert_eq!(got.entries, reference(&values, &ranks));
         assert!(prom.counter_value("radix.slices_split").unwrap_or(0) >= 1, "slices_split");
@@ -814,7 +867,7 @@ mod tests {
         // inline, so nothing is gathered; the wide domain's sub-gather
         // path is what leaves a residue.
         let wide = skewed(1 << 45, 4, 0xCAFE);
-        let wide_ranks = spread_ranks(wide.len(), 64);
+        let wide_ranks = separator_ranks(wide.len(), 64);
         let got_wide = resolve_ranks(&wide, &wide_ranks);
         assert_eq!(got_wide.entries, reference(&wide, &wide_ranks));
         assert!(prom.counter_value("radix.residue_tuples").unwrap_or(0) >= 1, "residue_tuples");
@@ -836,7 +889,7 @@ mod tests {
         let mut values = vec![i64::MIN; RECURSE_MIN * 2];
         values.extend(vec![i64::MAX; RECURSE_MIN * 2]);
         values.extend(noisy(4000, 1 << 40, 0x5EED));
-        let ranks = spread_ranks(values.len(), 33);
+        let ranks = separator_ranks(values.len(), 33);
         let got = resolve_ranks(&values, &ranks);
         assert_eq!(got.entries, reference(&values, &ranks));
     }
@@ -877,7 +930,7 @@ mod tests {
         for (span, name) in [(at - 1, "below"), (at, "at"), (at + 1, "above")] {
             let values = pinned_span(20_000, -37, span, 0xB0DA + span);
             for k in [2usize, 33, 600] {
-                let ranks = spread_ranks(values.len(), k);
+                let ranks = separator_ranks(values.len(), k);
                 let got = resolve_ranks(&values, &ranks);
                 assert_eq!(got.entries, reference(&values, &ranks), "{name} boundary, k={k}");
             }
@@ -888,7 +941,7 @@ mod tests {
     fn all_equal_input_matches_reference() {
         for n in [1usize, 7, RECURSE_MIN * 2] {
             let values = vec![-42i64; n];
-            let ranks = spread_ranks(n, 16);
+            let ranks = separator_ranks(n, 16);
             let got = resolve_ranks(&values, &ranks);
             assert_eq!(got.entries, reference(&values, &ranks), "n={n}");
             assert_eq!((got.min, got.max), (-42, -42));
@@ -901,7 +954,7 @@ mod tests {
         // separator (possibly several times over).
         let values = noisy(9, 1 << 30, 0x99);
         for k in [10usize, 64, 1000] {
-            let ranks = spread_ranks(values.len(), k);
+            let ranks = separator_ranks(values.len(), k);
             assert!(ranks.len() >= values.len(), "k={k} must over-request");
             let got = resolve_ranks(&values, &ranks);
             assert_eq!(got.entries, reference(&values, &ranks), "k={k}");
@@ -923,25 +976,26 @@ mod tests {
         // offset anything.
         for v in [i64::MIN, i64::MAX] {
             let values = vec![v; 100];
-            let got = resolve_ranks(&values, &spread_ranks(100, 8));
-            assert_eq!(got.entries, reference(&values, &spread_ranks(100, 8)), "v={v}");
+            let got = resolve_ranks(&values, &separator_ranks(100, 8));
+            assert_eq!(got.entries, reference(&values, &separator_ranks(100, 8)), "v={v}");
         }
         // Both extremes with heavy runs: span (as u64) is u64::MAX, the
         // widest expressible level.
         let mut values = vec![i64::MIN; 5_000];
         values.extend(vec![i64::MAX; 5_000]);
         values.extend(noisy(5_000, u64::MAX / 4, 0xFE));
-        let ranks = spread_ranks(values.len(), 77);
+        let ranks = separator_ranks(values.len(), 77);
         let got = resolve_ranks(&values, &ranks);
         assert_eq!(got.entries, reference(&values, &ranks));
         assert_eq!((got.min, got.max), (i64::MIN, i64::MAX));
     }
 
-    /// The same edge cases through the histogram-level radix route: each
-    /// must be byte-identical to sort + `from_sorted`.
+    /// The same edge cases through the histogram-level radix route,
+    /// forced whatever the input shape: each must be byte-identical to
+    /// sort + `from_sorted`.
     #[test]
     fn edge_case_histograms_match_sort_route() {
-        use super::super::equi_height::{ConstructionRoute, EquiHeightHistogram};
+        use super::super::EquiHeightHistogram;
         let boundary_span = (1u64 << DIRECT_EXACT_BITS) - 1;
         let cases: Vec<(&str, Vec<i64>)> = vec![
             ("boundary span", pinned_span(10_000, -5, boundary_span, 0x10)),
@@ -955,15 +1009,38 @@ mod tests {
             sorted.sort_unstable();
             for k in [1usize, 3, 40] {
                 let expect = EquiHeightHistogram::from_sorted(&sorted, k);
-                let mut work = data.clone();
-                let got = EquiHeightHistogram::from_unsorted_with_route_threads(
-                    1,
-                    &mut work,
-                    k,
-                    ConstructionRoute::Radix,
-                );
+                let got = EquiHeightHistogram::from_unsorted_radix(1, &data, k);
                 assert_eq!(got, expect, "{name}, k={k}");
             }
         }
+    }
+
+    #[test]
+    fn ranks_match_from_sorted_rule() {
+        // from_sorted reads rank ⌈j·n/k⌉ (1-based); we use the 0-based twin.
+        assert_eq!(separator_ranks(12, 4), vec![2, 5, 8]); // ceil(12/4)=3, 6, 9 → 0-based
+        assert_eq!(separator_ranks(10, 3), vec![3, 6]); // ceil(10/3)=4, ceil(20/3)=7 → 0-based 3, 6
+        assert_eq!(separator_ranks(2, 5), vec![0, 0, 1, 1]); // k > n repeats ranks
+        assert_eq!(separator_ranks(5, 1), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn min_max_matches_sort() {
+        for n in [1usize, 2, 999, 100_000] {
+            let data = noisy(n, 1_000_000, n as u64);
+            let (lo, hi) = min_max(&data);
+            assert_eq!(lo, *data.iter().min().unwrap());
+            assert_eq!(hi, *data.iter().max().unwrap());
+        }
+    }
+
+    #[test]
+    fn profitability_routing_boundaries() {
+        assert!(!selection_profitable(100, 10), "small inputs sort");
+        assert!(selection_profitable(SORT_FREE_MIN_N, 10));
+        assert!(!selection_profitable(SORT_FREE_MIN_N, 1), "single bucket never resolves");
+        // 600 buckets want n ≥ 8·599.
+        assert!(!selection_profitable(4000, 600));
+        assert!(selection_profitable(10_000, 600));
     }
 }

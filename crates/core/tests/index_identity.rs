@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use samplehist_core::estimate::RangeEstimator;
 use samplehist_core::histogram::{
-    BucketIndex, CompressedHistogram, CompressedIndex, CompressedRoute, EquiHeightHistogram,
+    BucketIndex, CompressedHistogram, CompressedIndex, EquiHeightHistogram,
 };
 
 /// Heavy-duplicate Zipf-like multisets: a few dominant runs plus a light
@@ -140,9 +140,7 @@ proptest! {
         enable_recording();
         let pop = data.len() as u64 + extra_pop;
         for threads in [1usize, 4] {
-            let c = CompressedHistogram::from_unsorted_sample_with_route_threads(
-                threads, &data, k, pop, CompressedRoute::Auto,
-            );
+            let c = CompressedHistogram::from_unsorted_sample_threads(threads, &data, k, pop);
             let idx = CompressedIndex::new(&c);
             let mut pts: Vec<i64> = data.iter().copied().take(6).collect();
             pts.extend([i64::MIN, i64::MAX, 0, -1, 1]);

@@ -11,9 +11,7 @@ use samplehist_core::error::{delta_separation, fractional_max_error};
 use samplehist_core::estimate::{
     duplication_density, duplication_density_from_profile, RangeEstimator,
 };
-use samplehist_core::histogram::{
-    selection, CompressedHistogram, CompressedRoute, ConstructionRoute, EquiHeightHistogram,
-};
+use samplehist_core::histogram::{selection_profitable, EquiHeightHistogram};
 use samplehist_core::math::{hypergeometric_pmf, ln_binomial};
 use samplehist_core::sampling::{Reservoir, Schedule, ScheduleContext};
 
@@ -210,41 +208,12 @@ proptest! {
         }
     }
 
-    /// Selection-based separator extraction is exactly the sort-based
-    /// rule on heavy-duplicate multisets, and the partitioned finishing
-    /// passes reproduce the sorted bucket counts and min/max.
-    #[test]
-    fn selection_separators_equal_sort_separators(
-        data in unsorted_multiset(1..400),
-        k in 1usize..16,
-    ) {
-        let mut sorted = data.clone();
-        sorted.sort_unstable();
-        let reference = EquiHeightHistogram::from_sorted(&sorted, k);
-        let mut work = data.clone();
-        let (ranks, separators) = selection::select_partition(&mut work, k);
-        prop_assert_eq!(&separators[..], reference.separators());
-        prop_assert_eq!(
-            selection::bucket_counts_partitioned(&work, &ranks, &separators),
-            reference.counts().to_vec()
-        );
-        prop_assert_eq!(
-            selection::min_max_partitioned(&work, &ranks),
-            (reference.min_value(), reference.max_value())
-        );
-        // The binary-search counting variant agrees on the original order.
-        prop_assert_eq!(
-            selection::bucket_counts_unsorted(&data, &separators),
-            reference.counts().to_vec()
-        );
-    }
-
     /// `from_unsorted` (radix-count routed at this size) is byte-identical
     /// to sort + `from_sorted`, and the sampled variant to
     /// `from_sorted_sample`, for every multiset and bucket count.
     #[test]
     fn from_unsorted_equals_sort_path(
-        data in unsorted_multiset(2100..2600), // × runs ⇒ n ≥ 8192: selection route
+        data in unsorted_multiset(2100..2600), // × runs ⇒ n ≥ 8192: radix route
         k in 2usize..32,
         extra_pop in 0u64..10_000,
     ) {
@@ -279,21 +248,21 @@ proptest! {
     /// The skew-refined radix route (exact sub-resolution: the ±2³² domain
     /// keeps the refinement's sub-shift at zero) is byte-identical to
     /// sort + `from_sorted` on heavy-duplicate multisets, serial and
-    /// parallel, with recording enabled.
+    /// parallel, with recording enabled. Every drawn multiset holds
+    /// ≥ 9000 values, so `from_unsorted_threads` takes the radix route.
     #[test]
     fn refined_radix_exact_equals_sort_path(
         data in skewed_multiset(1 << 32),
         k in 2usize..32,
     ) {
         enable_recording();
+        prop_assert!(selection_profitable(data.len(), k), "radix route");
         let mut sorted = data.clone();
         sorted.sort_unstable();
         let reference = EquiHeightHistogram::from_sorted(&sorted, k);
         for threads in [1usize, 4] {
             let mut work = data.clone();
-            let got = EquiHeightHistogram::from_unsorted_with_route_threads(
-                threads, &mut work, k, ConstructionRoute::Radix,
-            );
+            let got = EquiHeightHistogram::from_unsorted_threads(threads, &mut work, k);
             prop_assert_eq!(&got, &reference, "threads = {}", threads);
         }
     }
@@ -306,86 +275,14 @@ proptest! {
         k in 2usize..32,
     ) {
         enable_recording();
+        prop_assert!(selection_profitable(data.len(), k), "radix route");
         let mut sorted = data.clone();
         sorted.sort_unstable();
         let reference = EquiHeightHistogram::from_sorted(&sorted, k);
         for threads in [1usize, 4] {
             let mut work = data.clone();
-            let got = EquiHeightHistogram::from_unsorted_with_route_threads(
-                threads, &mut work, k, ConstructionRoute::Radix,
-            );
+            let got = EquiHeightHistogram::from_unsorted_threads(threads, &mut work, k);
             prop_assert_eq!(&got, &reference, "threads = {}", threads);
-        }
-    }
-
-    /// The sort-free compressed histogram (rank probing + exact counting,
-    /// no global order ever established) equals the sort-based one on
-    /// heavy-duplicate multisets — plain and sampled, serial and parallel.
-    /// Routes are forced explicitly: these skewed inputs would otherwise
-    /// auto-route to the sorted builder and test nothing.
-    #[test]
-    fn sortfree_compressed_equals_sort_path(
-        data in skewed_multiset(1 << 32),
-        k in 1usize..24,
-        extra_pop in 0u64..50_000,
-    ) {
-        enable_recording();
-        let mut sorted = data.clone();
-        sorted.sort_unstable();
-        let reference = CompressedHistogram::from_sorted(&sorted, k);
-        let pop = data.len() as u64 + extra_pop;
-        let sampled_reference = CompressedHistogram::from_sorted_sample(&sorted, k, pop);
-        for threads in [1usize, 4] {
-            prop_assert_eq!(
-                &CompressedHistogram::from_unsorted_with_route_threads(
-                    threads, &data, k, CompressedRoute::SortFree,
-                ),
-                &reference,
-                "threads = {}", threads
-            );
-            prop_assert_eq!(
-                &CompressedHistogram::from_unsorted_sample_with_route_threads(
-                    threads, &data, k, pop, CompressedRoute::SortFree,
-                ),
-                &sampled_reference,
-                "sampled, threads = {}", threads
-            );
-        }
-    }
-
-    /// The compressed constructor's shape routing is invisible in the
-    /// output: for mixtures sweeping the heavy-mass fraction across the
-    /// auto-routing threshold, both explicit routes and the auto route
-    /// produce byte-identical histograms (plain and sampled).
-    #[test]
-    fn compressed_routing_is_byte_invisible(
-        heavy_count in 0usize..4000,
-        light in prop::collection::vec(-1000i64..1000, 2000usize),
-        k in 2usize..16,
-        extra_pop in 0u64..50_000,
-    ) {
-        // heavy fraction = heavy_count / (heavy_count + 2000) ∈ [0, 0.67):
-        // cases land on both sides of the 0.5 auto threshold.
-        let mut data = vec![123i64; heavy_count];
-        data.extend(light);
-        let mut sorted = data.clone();
-        sorted.sort_unstable();
-        let reference = CompressedHistogram::from_sorted(&sorted, k);
-        let pop = data.len() as u64 + extra_pop;
-        let sampled_reference = CompressedHistogram::from_sorted_sample(&sorted, k, pop);
-        for route in [CompressedRoute::SortFree, CompressedRoute::Sorted, CompressedRoute::Auto] {
-            prop_assert_eq!(
-                &CompressedHistogram::from_unsorted_with_route_threads(1, &data, k, route),
-                &reference,
-                "route = {:?}", route
-            );
-            prop_assert_eq!(
-                &CompressedHistogram::from_unsorted_sample_with_route_threads(
-                    1, &data, k, pop, route,
-                ),
-                &sampled_reference,
-                "sampled, route = {:?}", route
-            );
         }
     }
 

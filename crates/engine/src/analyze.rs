@@ -291,8 +291,8 @@ fn finish_statistics(
     let Acquisition { mut sample, io, method, is_full, presorted } = acquisition;
 
     // Decide whether the full sort can be skipped: CVB hands back an
-    // already-sorted sample, and for everything else the selection/radix
-    // rank resolvers plus the hashed frequency profile cover every
+    // already-sorted sample, and for everything else the radix
+    // rank resolver plus the hashed frequency profile cover every
     // downstream consumer without a global order (skipped only at tiny
     // `n`, where the sort is free anyway and the routes tie). The
     // `analyze.sort` span is always emitted so traces keep their shape;

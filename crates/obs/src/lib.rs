@@ -9,9 +9,7 @@
 //! * [`JsonlSink`] — one structured JSON event per line (the trace
 //!   format `histstat` dumps and CI validates);
 //! * [`PromSink`] — aggregating Prometheus-style text exposition
-//!   (hygiene helpers and a format validator live in [`prom`]);
-//! * [`FlightRecorder`] — a bounded ring buffer of the most recent
-//!   events, for post-incident dumps.
+//!   (hygiene helpers and a format validator live in [`prom`]).
 //!
 //! Value distributions (q-errors, ratios) are recorded with
 //! [`Recorder::observe`] and aggregated into mergeable, fixed-size
@@ -57,7 +55,6 @@
 #![warn(missing_docs)]
 
 mod event;
-mod flight;
 pub mod json;
 pub mod prom;
 mod quantile;
@@ -66,7 +63,6 @@ mod sink;
 mod timing;
 
 pub use event::{Event, FieldList, Value};
-pub use flight::FlightRecorder;
 pub use quantile::QuantileSketch;
 pub use recorder::{Recorder, Span};
 pub use sink::{JsonlSink, MemorySink, PromSink, Sink};

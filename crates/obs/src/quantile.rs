@@ -22,7 +22,7 @@
 //! 2^[`SUB_BITS`] = 16 linear sub-buckets, so a reported quantile
 //! overstates the true one by at most ~6.25% — far tighter than the
 //! factor-of-two timing histogram, as befits a metric whose interesting
-//! values live between 1 and 10.
+//! values live between 1 and 10 — and never exceeds the tracked max.
 
 /// Mantissa bits used for sub-bucketing (16 sub-buckets per octave).
 const SUB_BITS: u32 = 4;
@@ -38,8 +38,9 @@ const BUCKETS: usize = 1 + OCTAVES * SUBS + 1;
 ///
 /// Values below 1 (a q-error can't be) clamp into the underflow bucket
 /// with upper bound 1; values at or above 2^32 clamp into the overflow
-/// bucket, whose reported quantile is the tracked max. NaN observations
-/// are ignored.
+/// bucket, whose upper bound is infinite. A reported quantile is its
+/// bucket's upper bound capped at the tracked max. NaN observations are
+/// ignored.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
     counts: [u64; BUCKETS],
@@ -134,10 +135,10 @@ impl QuantileSketch {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Upper bound of the bucket holding the `q`-quantile (`q` in
-    /// `[0,1]`); `None` when empty. Overstates the true quantile by at
-    /// most one sub-bucket (~6.25% relative); an overflow-bucket hit
-    /// reports the tracked max instead of infinity.
+    /// The `q`-quantile (`q` in `[0,1]`): the upper bound of the bucket
+    /// holding it, capped at the tracked max; `None` when empty.
+    /// Overstates the true quantile by at most one sub-bucket (~6.25%
+    /// relative) and never exceeds [`Self::max`].
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;
@@ -147,23 +148,23 @@ impl QuantileSketch {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= target {
-                return Some(if i == BUCKETS - 1 { self.max } else { Self::upper_bound(i) });
+                return Some(Self::upper_bound(i).min(self.max));
             }
         }
         Some(self.max)
     }
 
-    /// Median (bucket upper bound).
+    /// Median (see [`Self::quantile`]).
     pub fn p50(&self) -> Option<f64> {
         self.quantile(0.5)
     }
 
-    /// 95th percentile (bucket upper bound).
+    /// 95th percentile (see [`Self::quantile`]).
     pub fn p95(&self) -> Option<f64> {
         self.quantile(0.95)
     }
 
-    /// 99th percentile (bucket upper bound).
+    /// 99th percentile (see [`Self::quantile`]).
     pub fn p99(&self) -> Option<f64> {
         self.quantile(0.99)
     }

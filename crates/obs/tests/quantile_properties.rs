@@ -49,8 +49,9 @@ proptest! {
         prop_assert_eq!(&rev, &whole);
     }
 
-    /// Quantiles are monotone in `q`, bracket the data, and overstate a
-    /// true quantile by at most one sub-bucket (6.25% relative).
+    /// Quantiles are monotone in `q`, never exceed the tracked max, and
+    /// overstate a true quantile by at most one sub-bucket (6.25%
+    /// relative).
     #[test]
     fn quantiles_are_sound(
         values in proptest::collection::vec(1.0f64..1.0e9, 1..300),
@@ -60,7 +61,7 @@ proptest! {
         let (p50, p95, p99) = (s.p50().unwrap(), s.p95().unwrap(), s.p99().unwrap());
         prop_assert!(p50 <= p95 && p95 <= p99, "p50 {} p95 {} p99 {}", p50, p95, p99);
         let max = s.max().unwrap();
-        prop_assert!(p99 <= max * (1.0 + 1.0 / 16.0) + 1e-9, "p99 {} max {}", p99, max);
+        prop_assert!(p99 <= max, "p99 {} above max {}", p99, max);
 
         let mut sorted = values.clone();
         sorted.sort_by(f64::total_cmp);
