@@ -77,7 +77,8 @@ use rand::{Rng, SeedableRng};
 use samplehist_data::scenario::{PredicateSpec, ScenarioSpec};
 use samplehist_data::{HistogramSampler, Zipf};
 use samplehist_engine::{
-    analyze, estimate_cardinality, estimate_cardinality_scan, AnalyzeOptions, Predicate, Table,
+    analyze, estimate_cardinality, estimate_cardinality_scan, AnalyzeOptions, CardinalityEstimate,
+    Predicate, Table,
 };
 use samplehist_obs::json::{self, Json};
 use samplehist_obs::prom::validate_exposition;
@@ -120,8 +121,34 @@ fn percentile_us(sorted: &[u64], p: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
+/// Reader calls by kind. A scalar estimate and a batch call each look
+/// up one column; an equijoin looks up two.
+#[derive(Debug, Default, Clone, Copy)]
+struct QueryCounts {
+    estimates: u64,
+    batches: u64,
+    joins: u64,
+}
+
+impl QueryCounts {
+    fn total(&self) -> u64 {
+        self.estimates + self.batches + self.joins
+    }
+
+    fn add(&mut self, other: QueryCounts) {
+        self.estimates += other.estimates;
+        self.batches += other.batches;
+        self.joins += other.joins;
+    }
+}
+
 struct WorkloadResult {
-    queries: u64,
+    queries: QueryCounts,
+    /// The service's hit, miss and stale-hit counters when the readers
+    /// stopped: only the readers look columns up during the workload.
+    hits: u64,
+    misses: u64,
+    stale: u64,
     latencies_us: Vec<u64>,
     mutations: u64,
 }
@@ -164,31 +191,45 @@ fn run_workload(
             let stop = Arc::clone(&stop);
             readers.push(scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xAB + r);
-                let mut count = 0u64;
+                let mut counts = QueryCounts::default();
                 let mut lat = Vec::new();
+                let sane = |est: &CardinalityEstimate| {
+                    assert!(
+                        est.rows.is_finite() && est.rows >= 0.0,
+                        "torn snapshot produced {est:?}"
+                    )
+                };
                 while !stop.load(Ordering::Relaxed) {
                     let table = if rng.gen_bool(0.5) { "orders" } else { "lineitem" };
                     let column = if rng.gen_bool(0.5) { "uniform" } else { "zipfish" };
                     let t = Instant::now();
-                    if rng.gen_bool(0.9) {
-                        let est = svc.estimate_cardinality(
-                            table,
-                            column,
-                            &Predicate::Le(rng.gen_range(0..1009)),
-                        );
-                        if let Some(est) = est {
-                            assert!(
-                                est.rows.is_finite() && est.rows >= 0.0,
-                                "torn snapshot produced {est:?}"
-                            );
+                    // 80% scalar estimates, 10% four-predicate batches,
+                    // 10% equijoins.
+                    match rng.gen_range(0..10) {
+                        0 => {
+                            let _ = svc.estimate_equijoin("orders", column, "lineitem", column);
+                            counts.joins += 1;
                         }
-                    } else {
-                        let _ = svc.estimate_equijoin("orders", column, "lineitem", column);
+                        1 => {
+                            let preds: [Predicate; 4] =
+                                std::array::from_fn(|_| Predicate::Le(rng.gen_range(0..1009)));
+                            if let Some(out) = svc.estimate_cardinality_batch(table, column, &preds)
+                            {
+                                out.iter().for_each(sane);
+                            }
+                            counts.batches += 1;
+                        }
+                        _ => {
+                            let pred = Predicate::Le(rng.gen_range(0..1009));
+                            if let Some(est) = svc.estimate_cardinality(table, column, &pred) {
+                                sane(&est);
+                            }
+                            counts.estimates += 1;
+                        }
                     }
                     lat.push(t.elapsed().as_micros() as u64);
-                    count += 1;
                 }
-                (count, lat)
+                (counts, lat)
             }));
         }
         let mut mutators = Vec::new();
@@ -211,19 +252,20 @@ fn run_workload(
         }
         std::thread::sleep(Duration::from_millis(millis));
         stop.store(true, Ordering::Relaxed);
-        let mut queries = 0u64;
+        let mut queries = QueryCounts::default();
         let mut latencies = Vec::new();
         for h in readers {
-            let (count, lat) = h.join().expect("reader thread");
-            queries += count;
+            let (counts, lat) = h.join().expect("reader thread");
+            queries.add(counts);
             latencies.extend(lat);
         }
         let mutations = mutators.into_iter().map(|h| h.join().expect("mutator")).sum();
         (queries, latencies, mutations)
     });
     let elapsed = started.elapsed().as_secs_f64();
+    let (hits, misses, stale) = (svc.hits(), svc.misses(), svc.stale_hits());
     svc.wait_idle();
-    (svc, WorkloadResult { queries, latencies_us, mutations }, elapsed)
+    (svc, WorkloadResult { queries, hits, misses, stale, latencies_us, mutations }, elapsed)
 }
 
 // -- lookup-heavy phase -------------------------------------------------
@@ -1135,18 +1177,26 @@ fn check_file(path: &str, require_replay: bool) -> Result<(), String> {
 
     let q = require_section(&obj, "queries")?;
     let total = require_u64(q, "total")?;
+    let estimates = require_u64(q, "estimates")?;
+    let batches = require_u64(q, "batches")?;
+    let joins = require_u64(q, "joins")?;
     let hits = require_u64(q, "hits")?;
     let misses = require_u64(q, "misses")?;
     let stale = require_u64(q, "stale_hits")?;
     if total == 0 || hits == 0 {
         return Err("workload served no hits — the service never answered".into());
     }
-    if hits + misses < total / 2 {
-        // Equijoins count one query but two lookups, so exact equality
-        // is not expected; an order-of-magnitude mismatch means broken
-        // accounting.
+    if estimates + batches + joins != total {
         return Err(format!(
-            "lookup accounting off: hits {hits} + misses {misses} vs total {total}"
+            "query kinds do not add up: {estimates} estimates + {batches} batches + {joins} \
+             joins vs total {total}"
+        ));
+    }
+    // Scalar estimates and batch calls look up one column, equijoins two.
+    if hits + misses != estimates + batches + 2 * joins {
+        return Err(format!(
+            "lookup accounting off: hits {hits} + misses {misses} vs {estimates} estimates + \
+             {batches} batches + 2 x {joins} joins"
         ));
     }
     if stale > hits {
@@ -1588,14 +1638,19 @@ fn main() -> ExitCode {
     );
     let mut lat = result.latencies_us;
     lat.sort_unstable();
-    let throughput = result.queries as f64 / elapsed;
+    let queries = result.queries;
+    let throughput = queries.total() as f64 / elapsed;
     println!(
-        "served {} queries in {elapsed:.2}s ({throughput:.0}/s): {} hits, {} misses, {} stale; \
+        "served {} queries ({} estimates, {} batches, {} joins) in {elapsed:.2}s \
+         ({throughput:.0}/s): {} hits, {} misses, {} stale; \
          refreshes: {} completed ({} probes, {} passes, {} re-ANALYZEs), {} failed, {} rejected",
-        result.queries,
-        svc.hits(),
-        svc.misses(),
-        svc.stale_hits(),
+        queries.total(),
+        queries.estimates,
+        queries.batches,
+        queries.joins,
+        result.hits,
+        result.misses,
+        result.stale,
         tally.completed,
         tally.probes,
         tally.probe_passes,
@@ -1655,6 +1710,9 @@ fn main() -> ExitCode {
             "  \"duration_seconds\": {dur:.3},\n",
             "  \"queries\": {{\n",
             "    \"total\": {total},\n",
+            "    \"estimates\": {estimates},\n",
+            "    \"batches\": {batches},\n",
+            "    \"joins\": {joins},\n",
             "    \"hits\": {hits},\n",
             "    \"misses\": {misses},\n",
             "    \"stale_hits\": {stale},\n",
@@ -1713,10 +1771,13 @@ fn main() -> ExitCode {
         readers = READERS,
         mutators = MUTATORS,
         dur = elapsed,
-        total = result.queries,
-        hits = svc.hits(),
-        misses = svc.misses(),
-        stale = svc.stale_hits(),
+        total = queries.total(),
+        estimates = queries.estimates,
+        batches = queries.batches,
+        joins = queries.joins,
+        hits = result.hits,
+        misses = result.misses,
+        stale = result.stale,
         tput = throughput,
         p50 = percentile_us(&lat, 0.50),
         p95 = percentile_us(&lat, 0.95),

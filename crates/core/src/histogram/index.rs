@@ -32,6 +32,15 @@
 //! the compiler can vectorize, with per-probe arithmetic in a scalar
 //! epilogue.
 //!
+//! A caller whose thresholds arrive in ascending order needs no descent
+//! at all: [`BucketIndex::le_cursor`] returns an [`LeCursor`] that walks
+//! the bucket pointer forward over the separators (the upper bucket
+//! edges the index already stores) and runs the same interpolation
+//! epilogue, so a sweep of `m` thresholds costs `O(k + m)` and every
+//! answer has the bits of [`BucketIndex::estimate_le`]. The engine's
+//! equijoin estimator merges two histograms' separators through two such
+//! cursors.
+//!
 //! [`RangeEstimator`]: crate::estimate::RangeEstimator
 //! [`RangeEstimator::new`]: crate::estimate::RangeEstimator::new
 
@@ -221,6 +230,16 @@ impl BucketIndex {
         self.finish_le(t, self.search.partition_point(t))
     }
 
+    /// A forward-only [`LeCursor`] starting below every bucket.
+    pub fn le_cursor(&self) -> LeCursor<'_> {
+        LeCursor {
+            index: self,
+            bucket: 0,
+            last: self.count.len().saturating_sub(1),
+            floor: i64::MIN,
+        }
+    }
+
     /// Estimated number of values `< t`.
     #[inline]
     pub fn estimate_lt(&self, t: i64) -> f64 {
@@ -323,6 +342,43 @@ impl BucketIndex {
         for (&t, o) in chunks.remainder().iter().zip(outs.into_remainder()) {
             *o = self.estimate_eq(t);
         }
+    }
+}
+
+/// [`BucketIndex::estimate_le`] for non-decreasing thresholds, by walking
+/// instead of descending.
+///
+/// Each call advances the bucket pointer past every separator `< t` —
+/// exactly the bucket the descent would land on — and then runs the
+/// index's interpolation epilogue, so each answer is byte-identical to
+/// [`BucketIndex::estimate_le`]. Over a whole sweep the pointer moves at
+/// most `k − 1` times.
+#[derive(Debug, Clone)]
+pub struct LeCursor<'a> {
+    index: &'a BucketIndex,
+    bucket: usize,
+    /// Last bucket: the pointer never passes it (`k − 1` separators).
+    last: usize,
+    /// Previous threshold; thresholds must not decrease.
+    floor: i64,
+}
+
+impl LeCursor<'_> {
+    /// Estimated number of values `≤ t`, for `t` at or above every
+    /// threshold this cursor has seen.
+    ///
+    /// # Panics
+    /// In debug builds, if `t` is below the previous threshold.
+    #[inline]
+    pub fn estimate_le(&mut self, t: i64) -> f64 {
+        debug_assert!(t >= self.floor, "LeCursor thresholds must not decrease");
+        self.floor = t;
+        let index = self.index;
+        // `hi_edge[j]` is separator j for every j below the last bucket.
+        while self.bucket < self.last && index.hi_edge[self.bucket] < i128::from(t) {
+            self.bucket += 1;
+        }
+        index.finish_le(t, self.bucket)
     }
 }
 

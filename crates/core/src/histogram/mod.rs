@@ -37,7 +37,7 @@ pub use builder::HistogramBuilder;
 pub use compressed::CompressedHistogram;
 pub use equi_height::{BucketRef, EquiHeightHistogram};
 pub use equi_width::EquiWidthHistogram;
-pub use index::{BucketIndex, CompressedIndex};
+pub use index::{BucketIndex, CompressedIndex, LeCursor};
 pub use maintained::{
     MaintainedHistogram, PatchOutcome, PatchPolicy, PatchRefusal, PatchableStats, PatchedStats,
 };

@@ -5,15 +5,18 @@
 //! * [`Catalog`] — the original single-threaded map, for tools and tests
 //!   that own their statistics outright.
 //! * [`StatsCatalog`] — the concurrent service catalog: lock-striped
-//!   stripes of `RwLock<HashMap<…, Arc<VersionedStats>>>`, with
+//!   stripes of `RwLock<FxHashMap<…, Arc<VersionedStats>>>`, with
 //!   epoch-stamped `Arc`-swap snapshots so estimation reads never block
 //!   on an in-flight ANALYZE (the expensive build happens entirely
 //!   outside any lock; the write lock is held only to swap a pointer).
+//!   Keys hash through the unkeyed [`FxHasher`](crate::hash::FxHasher):
+//!   entries are only ever inserted by [`StatsCatalog::install`], so a
+//!   wire client's names can probe but never populate a stripe.
 
 use std::borrow::Borrow;
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -21,6 +24,7 @@ use rand::Rng;
 
 use crate::accuracy::AccuracyLedger;
 use crate::analyze::{analyze, AnalyzeError, AnalyzeOptions};
+use crate::hash::{FxBuildHasher, FxHashMap};
 use crate::stats::ColumnStatistics;
 use crate::table::Table;
 
@@ -225,7 +229,7 @@ pub struct StatsCatalog {
 }
 
 /// One lock stripe of the concurrent catalog.
-type Stripe = RwLock<HashMap<ColumnKey, Arc<VersionedStats>>>;
+type Stripe = RwLock<FxHashMap<ColumnKey, Arc<VersionedStats>>>;
 
 impl Default for StatsCatalog {
     fn default() -> Self {
@@ -238,10 +242,7 @@ impl StatsCatalog {
     /// two, at least 1).
     pub fn new(stripes: usize) -> Self {
         let stripes = stripes.max(1).next_power_of_two();
-        Self {
-            stripes: (0..stripes).map(|_| RwLock::new(HashMap::new())).collect(),
-            mask: stripes - 1,
-        }
+        Self { stripes: (0..stripes).map(|_| RwLock::default()).collect(), mask: stripes - 1 }
     }
 
     /// Number of lock stripes.
@@ -250,11 +251,13 @@ impl StatsCatalog {
     }
 
     fn stripe_of(&self, table: &str, column: &str) -> &Stripe {
-        // DefaultHasher::new() is fixed-keyed, so stripe assignment is
-        // stable across threads and runs within one build.
-        let mut hasher = DefaultHasher::new();
-        (&(table, column) as &dyn KeyQuery).hash(&mut hasher);
-        &self.stripes[hasher.finish() as usize & self.mask]
+        // The hasher is unkeyed, so stripe assignment is stable across
+        // threads and runs. The stripe comes from bits 32.. of the hash:
+        // the stripe's map indexes buckets by the low bits and tags them
+        // with the top seven, so drawing the stripe from either would
+        // cluster every key of one stripe into a few of its buckets.
+        let hash = FxBuildHasher::default().hash_one(&(table, column) as &dyn KeyQuery);
+        &self.stripes[(hash >> 32) as usize & self.mask]
     }
 
     /// Fetch the current snapshot for a column, if any. Never blocks on
@@ -416,11 +419,11 @@ mod tests {
         // the same map slot. Exercised indirectly by get(), but pin the
         // hash equality itself so a refactor cannot silently split them.
         let owned = ColumnKey { table: "orders".into(), column: "amount".into() };
-        let mut h1 = DefaultHasher::new();
-        owned.hash(&mut h1);
-        let mut h2 = DefaultHasher::new();
-        (&("orders", "amount") as &dyn KeyQuery).hash(&mut h2);
-        assert_eq!(h1.finish(), h2.finish());
+        let query = &("orders", "amount") as &dyn KeyQuery;
+        let fx = FxBuildHasher::default();
+        assert_eq!(fx.hash_one(&owned), fx.hash_one(query));
+        let sip = std::collections::hash_map::RandomState::new();
+        assert_eq!(sip.hash_one(&owned), sip.hash_one(query));
         let borrowed: &dyn KeyQuery = owned.borrow();
         assert!(borrowed == &("orders", "amount") as &dyn KeyQuery);
     }

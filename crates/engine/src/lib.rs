@@ -22,6 +22,8 @@
 //! * [`AccuracyLedger`] — per-epoch execution feedback: observed
 //!   q-errors aggregated into mergeable quantile sketches, the signal
 //!   the service's accuracy-driven refresh path watches.
+//! * [`hash`] — the unkeyed name hasher behind the catalog's and the
+//!   service's read-path maps.
 
 //! ## Example
 //!
@@ -50,6 +52,7 @@ mod accuracy;
 mod analyze;
 mod catalog;
 pub mod feedback;
+pub mod hash;
 pub mod optimizer;
 mod predicate;
 mod selectivity;

@@ -29,6 +29,18 @@ pub struct CardinalityEstimate {
 /// fragment-wise. Fragments outside either column's [min, max] contribute
 /// nothing — which is how histogram alignment beats the global formula on
 /// partially overlapping domains.
+///
+/// One forward merge of the two sorted separator arrays visits the
+/// fragment bounds in ascending order, and each side answers
+/// `estimate_le(bound)` through a [`LeCursor`] that walks its buckets
+/// instead of descending the tree. A fragment `(prev, bound]` holds
+/// `(le(bound) − le(prev)).max(0)` rows, with each `le` computed once and
+/// carried to the next fragment. The first `prev` is `lo − 1` (its `le`
+/// is 0 when `lo == i64::MIN`). The cost is `O(k_a + k_b)` with no sort,
+/// no descent and no allocation, and the float operations are those of
+/// the scalar `estimate_le`-difference loop, so the result has its bits.
+///
+/// [`LeCursor`]: samplehist_core::histogram::LeCursor
 pub fn estimate_equijoin(a: &ColumnStatistics, b: &ColumnStatistics) -> f64 {
     let (lo, hi) = (
         a.histogram.min_value().max(b.histogram.min_value()),
@@ -37,47 +49,34 @@ pub fn estimate_equijoin(a: &ColumnStatistics, b: &ColumnStatistics) -> f64 {
     if lo > hi {
         return 0.0;
     }
-    // Fragment boundaries: both separator sets restricted to the overlap,
-    // plus the overlap edges.
-    let mut bounds: Vec<i64> = a
-        .histogram
-        .separators()
-        .iter()
-        .chain(b.histogram.separators())
-        .copied()
-        .filter(|&s| s > lo && s < hi)
-        .collect();
-    bounds.push(hi);
-    bounds.sort_unstable();
-    bounds.dedup();
-
-    let est_a = &a.index().histogram;
-    let est_b = &b.index().histogram;
     let (da, db) = (a.distinct_estimate.max(1.0), b.distinct_estimate.max(1.0));
     let (na, nb) = (a.num_rows as f64, b.num_rows as f64);
-
-    // Fragment (prev, bound] as the closed probe [prev+1, bound]: the
-    // batched kernel computes (le(bound) − lt(prev+1)).max(0) with the
-    // same float operations as the scalar le-difference sweep, so the
-    // result is byte-identical — but both sides' descents run through
-    // the eight-lane interleaved path. (`prev + 1` cannot overflow:
-    // every prev is a bound strictly below `hi`; the first fragment
-    // starts at `lo` itself, which also handles `lo == i64::MIN`.)
-    let mut probes = Vec::with_capacity(bounds.len());
-    let mut start = lo;
-    for &bound in &bounds {
-        probes.push((start, bound));
-        // Wrapping only matters after the final bound (`hi` may be
-        // i64::MAX); that value is never pushed as a probe.
-        start = bound.wrapping_add(1);
-    }
-    let mut rows_a = vec![0.0f64; probes.len()];
-    let mut rows_b = vec![0.0f64; probes.len()];
-    est_a.estimate_range_batch(&probes, &mut rows_a);
-    est_b.estimate_range_batch(&probes, &mut rows_b);
-
+    let mut cur_a = a.index().histogram.le_cursor();
+    let mut cur_b = b.index().histogram.le_cursor();
+    let (mut le_a, mut le_b) = if lo == i64::MIN {
+        (0.0, 0.0)
+    } else {
+        (cur_a.estimate_le(lo - 1), cur_b.estimate_le(lo - 1))
+    };
+    let (seps_a, seps_b) = (a.histogram.separators(), b.histogram.separators());
+    let (mut ia, mut ib) = (0, 0);
+    let mut prev = lo;
     let mut total = 0.0f64;
-    for (&ra, &rb) in rows_a.iter().zip(&rows_b) {
+    loop {
+        // Next bound: the least separator of either side above `prev`,
+        // capped at `hi` (separators repeat within and across sides).
+        while ia < seps_a.len() && seps_a[ia] <= prev {
+            ia += 1;
+        }
+        while ib < seps_b.len() && seps_b[ib] <= prev {
+            ib += 1;
+        }
+        let next_a = seps_a.get(ia).copied().unwrap_or(i64::MAX);
+        let next_b = seps_b.get(ib).copied().unwrap_or(i64::MAX);
+        let bound = next_a.min(next_b).min(hi);
+        let (bound_a, bound_b) = (cur_a.estimate_le(bound), cur_b.estimate_le(bound));
+        let ra = (bound_a - le_a).max(0.0);
+        let rb = (bound_b - le_b).max(0.0);
         if ra > 0.0 && rb > 0.0 {
             // Distinct values each side brings to this fragment,
             // apportioned by row mass; at least 1 once rows exist.
@@ -85,8 +84,11 @@ pub fn estimate_equijoin(a: &ColumnStatistics, b: &ColumnStatistics) -> f64 {
             let d_frag_b = (db * rb / nb).max(1.0);
             total += ra * rb / d_frag_a.max(d_frag_b);
         }
+        if bound == hi {
+            return total;
+        }
+        (le_a, le_b, prev) = (bound_a, bound_b, bound);
     }
-    total
 }
 
 /// Estimate the cardinality of `predicate` from `stats`.
@@ -497,15 +499,93 @@ mod tests {
         );
     }
 
-    /// The batched fragment sweep inside [`estimate_equijoin`] must be
-    /// byte-identical to the scalar `estimate_le`-difference loop it
-    /// replaced: same fragments, same float operations, new lanes.
+    /// The scalar oracle for [`estimate_equijoin`]: sort and dedup the
+    /// fragment bounds, then take `estimate_le` differences through the
+    /// tree descent. Below `lo == i64::MIN` there is nothing, so the first
+    /// fragment's `le(prev)` is 0 there instead of `le(lo − 1)`.
+    fn scalar_equijoin(a: &ColumnStatistics, b: &ColumnStatistics) -> f64 {
+        let (lo, hi) = (
+            a.histogram.min_value().max(b.histogram.min_value()),
+            a.histogram.max_value().min(b.histogram.max_value()),
+        );
+        if lo > hi {
+            return 0.0;
+        }
+        let mut bounds: Vec<i64> = a
+            .histogram
+            .separators()
+            .iter()
+            .chain(b.histogram.separators())
+            .copied()
+            .filter(|&s| s > lo && s < hi)
+            .collect();
+        bounds.push(hi);
+        bounds.sort_unstable();
+        bounds.dedup();
+        let est_a = &a.index().histogram;
+        let est_b = &b.index().histogram;
+        let le = |est: &samplehist_core::histogram::BucketIndex, t: Option<i64>| {
+            t.map_or(0.0, |t| est.estimate_le(t))
+        };
+        let (da, db) = (a.distinct_estimate.max(1.0), b.distinct_estimate.max(1.0));
+        let (na, nb) = (a.num_rows as f64, b.num_rows as f64);
+        let mut total = 0.0f64;
+        let mut prev = lo.checked_sub(1);
+        for &bound in &bounds {
+            let rows_a = (est_a.estimate_le(bound) - le(est_a, prev)).max(0.0);
+            let rows_b = (est_b.estimate_le(bound) - le(est_b, prev)).max(0.0);
+            if rows_a > 0.0 && rows_b > 0.0 {
+                let d_frag_a = (da * rows_a / na).max(1.0);
+                let d_frag_b = (db * rows_b / nb).max(1.0);
+                total += rows_a * rows_b / d_frag_a.max(d_frag_b);
+            }
+            prev = Some(bound);
+        }
+        total
+    }
+
+    fn assert_equijoin_matches_oracle(a: &ColumnStatistics, b: &ColumnStatistics) {
+        for (x, y) in [(a, b), (b, a)] {
+            let swept = estimate_equijoin(x, y);
+            let scalar = scalar_equijoin(x, y);
+            assert_eq!(swept.to_bits(), scalar.to_bits(), "sweep {swept} vs scalar {scalar}");
+        }
+    }
+
+    /// Column statistics straight from a multiset: the perfect k-histogram
+    /// and an exact distinct count, with no table or ANALYZE around it.
+    fn stats_from_values(mut values: Vec<i64>, k: usize) -> ColumnStatistics {
+        values.sort_unstable();
+        let mut distinct = values.clone();
+        distinct.dedup();
+        ColumnStatistics {
+            table: "t".into(),
+            column: "c".into(),
+            num_rows: values.len() as u64,
+            histogram: samplehist_core::histogram::EquiHeightHistogram::from_sorted(&values, k),
+            compressed: None,
+            density: 0.0,
+            distinct_estimate: distinct.len() as f64,
+            distinct_in_sample: distinct.len() as u64,
+            sample_size: values.len() as u64,
+            method: "test".into(),
+            io: Default::default(),
+            index: Default::default(),
+        }
+    }
+
+    /// The one-pass merge inside [`estimate_equijoin`] must have the bits
+    /// of the scalar `estimate_le`-difference oracle. Fixed examples:
+    /// overlapping duplicate-heavy columns, a partial overlap, mixed
+    /// bucket counts, k = 1, touching and disjoint domains, and domains
+    /// that reach `i64::MIN` and `i64::MAX`.
     #[test]
-    fn equijoin_batched_sweep_matches_scalar_reference() {
+    fn equijoin_sweep_matches_scalar_reference() {
         let cases = [
-            (stats_for((0..5000).map(|i| i % 500).collect(), 25, 41), {
-                stats_for((0..3000).map(|i| (i % 300) * 2).collect(), 25, 42)
-            }),
+            (
+                stats_for((0..5000).map(|i| i % 500).collect(), 25, 41),
+                stats_for((0..3000).map(|i| (i % 300) * 2).collect(), 25, 42),
+            ),
             (
                 stats_for((0..10_000).collect(), 50, 43),
                 stats_for((9_000..19_000).collect(), 50, 44),
@@ -514,49 +594,75 @@ mod tests {
                 stats_for((0..100).flat_map(|v| vec![v * 10; 50]).collect(), 20, 45),
                 stats_for((0..2000).map(|i| (i * 7) % 990).collect(), 13, 46),
             ),
+            (stats_from_values((0..500).collect(), 1), stats_from_values((250..900).collect(), 7)),
+            (stats_from_values((0..500).collect(), 5), stats_from_values((499..900).collect(), 5)),
+            (stats_from_values((0..500).collect(), 5), stats_from_values((500..900).collect(), 5)),
+            (
+                stats_from_values(vec![i64::MIN, i64::MIN, -5, 0, 7, i64::MAX], 3),
+                stats_from_values(vec![i64::MIN, -5, -5, 3, i64::MAX, i64::MAX], 4),
+            ),
+            (
+                stats_from_values(vec![i64::MIN; 40], 3),
+                stats_from_values(vec![i64::MIN, i64::MIN, 1], 2),
+            ),
         ];
         for (a, b) in &cases {
-            let scalar = {
-                let (lo, hi) = (
-                    a.histogram.min_value().max(b.histogram.min_value()),
-                    a.histogram.max_value().min(b.histogram.max_value()),
-                );
-                assert!(lo <= hi, "cases must overlap to exercise the sweep");
-                let mut bounds: Vec<i64> = a
-                    .histogram
-                    .separators()
-                    .iter()
-                    .chain(b.histogram.separators())
-                    .copied()
-                    .filter(|&s| s > lo && s < hi)
-                    .collect();
-                bounds.push(hi);
-                bounds.sort_unstable();
-                bounds.dedup();
-                let est_a = &a.index().histogram;
-                let est_b = &b.index().histogram;
-                let (da, db) = (a.distinct_estimate.max(1.0), b.distinct_estimate.max(1.0));
-                let (na, nb) = (a.num_rows as f64, b.num_rows as f64);
-                let mut total = 0.0f64;
-                let mut prev = lo - 1;
-                for &bound in &bounds {
-                    let rows_a = (est_a.estimate_le(bound) - est_a.estimate_le(prev)).max(0.0);
-                    let rows_b = (est_b.estimate_le(bound) - est_b.estimate_le(prev)).max(0.0);
-                    if rows_a > 0.0 && rows_b > 0.0 {
-                        let d_frag_a = (da * rows_a / na).max(1.0);
-                        let d_frag_b = (db * rows_b / nb).max(1.0);
-                        total += rows_a * rows_b / d_frag_a.max(d_frag_b);
-                    }
-                    prev = bound;
-                }
-                total
+            assert_equijoin_matches_oracle(a, b);
+        }
+    }
+
+    /// One side of a random equijoin: `runs` of (value step, multiplicity)
+    /// laid out from `base` in strides of `scale`, so long runs make
+    /// duplicate-heavy single-value buckets; `ends` adds `i64::MIN`
+    /// (bit 0) and `i64::MAX` (bit 1).
+    fn side(base: i64, scale: i64, runs: &[(i64, usize)], ends: u8) -> Vec<i64> {
+        let mut v: Vec<i64> = Vec::new();
+        for &(step, mult) in runs {
+            v.resize(v.len() + mult, base.saturating_add(step.saturating_mul(scale)));
+        }
+        if ends & 1 != 0 {
+            v.push(i64::MIN);
+        }
+        if ends & 2 != 0 {
+            v.push(i64::MAX);
+        }
+        v
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Random histogram pairs against the scalar oracle, compared with
+        /// `to_bits`. `place` puts B's domain at an independent offset
+        /// (0), starting exactly at A's max so the two touch at one point
+        /// (1), or just past it so they are disjoint (2).
+        #[test]
+        fn equijoin_sweep_matches_scalar_reference_on_random_pairs(
+            a in (
+                proptest::collection::vec((0i64..200, 1usize..80), 1..24),
+                1usize..16,
+                -1000i64..1000,
+                0u8..4,
+            ),
+            b in (
+                proptest::collection::vec((0i64..200, 1usize..80), 1..24),
+                1usize..16,
+                -1000i64..1000,
+                0u8..4,
+            ),
+            scale in 1i64..1_000_000_000_000,
+            place in 0u8..3,
+        ) {
+            let (runs_a, k_a, base_a, ends_a) = a;
+            let (runs_b, k_b, base_b, ends_b) = b;
+            let a = stats_from_values(side(base_a, scale, &runs_a, ends_a), k_a);
+            let base_b = match place {
+                0 => base_b,
+                1 => a.histogram.max_value(),
+                _ => a.histogram.max_value().saturating_add(1),
             };
-            let batched = estimate_equijoin(a, b);
-            assert_eq!(
-                batched.to_bits(),
-                scalar.to_bits(),
-                "batched {batched} vs scalar reference {scalar}"
-            );
+            let b = stats_from_values(side(base_b, scale, &runs_b, ends_b), k_b);
+            assert_equijoin_matches_oracle(&a, &b);
         }
     }
 

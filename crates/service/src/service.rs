@@ -1,6 +1,5 @@
 //! [`StatsService`]: the estimation front door plus its refresh machinery.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
@@ -10,6 +9,7 @@ use samplehist_core::error::histogram_fractional_error;
 use samplehist_core::estimate::duplication_density_from_profile;
 use samplehist_core::histogram::{PatchPolicy, PatchableStats};
 use samplehist_core::sampling::{DegradationPolicy, Reliable};
+use samplehist_engine::hash::FxHashMap;
 use samplehist_engine::{
     analyze_resilient, estimate_cardinality as cardinality_from_stats,
     estimate_cardinality_batch as cardinality_batch_from_stats,
@@ -150,7 +150,7 @@ struct TableEntry {
     fault: Option<FaultSpec>,
     /// Per-column read counts — the "access frequency" half of refresh
     /// priority.
-    access: HashMap<String, AtomicU64>,
+    access: FxHashMap<String, AtomicU64>,
 }
 
 /// A concurrent statistics service over a lock-striped [`StatsCatalog`].
@@ -174,7 +174,11 @@ struct TableEntry {
 pub struct StatsService {
     config: ServiceConfig,
     catalog: StatsCatalog,
-    tables: RwLock<HashMap<String, Arc<TableEntry>>>,
+    /// Registered tables. This map and each entry's `access` map use the
+    /// unkeyed [`FxHashMap`]: both are filled only by
+    /// [`Self::register_table`], so a name arriving from the wire can
+    /// probe existing entries but never insert colliding ones.
+    tables: RwLock<FxHashMap<String, Arc<TableEntry>>>,
     scheduler: Arc<RefreshScheduler>,
     clock: Arc<Clock>,
     hits: AtomicU64,
@@ -215,7 +219,7 @@ impl StatsService {
         let pool = (!config.deterministic).then(|| WorkerPool::new(config.refresh_threads.max(1)));
         let svc = Arc::new(Self {
             catalog: StatsCatalog::new(config.stripes),
-            tables: RwLock::new(HashMap::new()),
+            tables: RwLock::default(),
             scheduler,
             clock,
             hits: AtomicU64::new(0),
@@ -302,9 +306,11 @@ impl StatsService {
     ) -> Option<CardinalityEstimate> {
         let recorder = samplehist_obs::global();
         let mut span = recorder.span("service.query");
-        span.field("op", "cardinality");
-        span.field("table", table.to_string());
-        span.field("column", column.to_string());
+        if span.is_enabled() {
+            span.field("op", "cardinality");
+            span.field("table", table.to_string());
+            span.field("column", column.to_string());
+        }
         let snap = self.lookup(table, column);
         span.field("hit", snap.is_some());
         snap.map(|s| cardinality_from_stats(&s.stats, predicate))
@@ -327,10 +333,12 @@ impl StatsService {
     ) -> Option<Vec<CardinalityEstimate>> {
         let recorder = samplehist_obs::global();
         let mut span = recorder.span("service.query");
-        span.field("op", "cardinality_batch");
-        span.field("table", table.to_string());
-        span.field("column", column.to_string());
-        span.field("probes", predicates.len() as u64);
+        if span.is_enabled() {
+            span.field("op", "cardinality_batch");
+            span.field("table", table.to_string());
+            span.field("column", column.to_string());
+            span.field("probes", predicates.len() as u64);
+        }
         let snap = self.lookup(table, column);
         span.field("hit", snap.is_some());
         snap.map(|s| {
@@ -347,9 +355,11 @@ impl StatsService {
     pub fn estimate_equijoin(&self, t1: &str, c1: &str, t2: &str, c2: &str) -> Option<f64> {
         let recorder = samplehist_obs::global();
         let mut span = recorder.span("service.query");
-        span.field("op", "equijoin");
-        span.field("table", t1.to_string());
-        span.field("column", c1.to_string());
+        if span.is_enabled() {
+            span.field("op", "equijoin");
+            span.field("table", t1.to_string());
+            span.field("column", c1.to_string());
+        }
         let a = self.lookup(t1, c1);
         let b = self.lookup(t2, c2);
         span.field("hit", a.is_some() && b.is_some());
