@@ -6,8 +6,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use samplehist_core::estimate::RangeEstimator;
-use samplehist_core::histogram::{bucket_counts, CompressedHistogram, EquiHeightHistogram};
+use samplehist_core::histogram::{
+    bucket_counts, BucketIndex, CompressedHistogram, EquiHeightHistogram,
+};
 use samplehist_data::DataSpec;
 
 fn unsorted_zipf(n: u64) -> Vec<i64> {
@@ -139,7 +140,7 @@ fn bench_recount_and_estimate(c: &mut Criterion) {
     group.bench_function("bucket_counts_1M_k600", |b| {
         b.iter(|| bucket_counts(&data, hist.separators()))
     });
-    let estimator = RangeEstimator::new(&hist);
+    let estimator = BucketIndex::new(&hist);
     let queries: Vec<(i64, i64)> = (0..1000)
         .map(|i| {
             let x = (i * 977) % 100_000;

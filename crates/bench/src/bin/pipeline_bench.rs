@@ -27,10 +27,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use samplehist_core::distinct::FrequencyProfile;
-use samplehist_core::estimate::RangeEstimator;
-use samplehist_core::histogram::{
-    selection_profitable, BucketIndex, CompressedHistogram, EquiHeightHistogram,
-};
+use samplehist_core::histogram::{selection_profitable, CompressedHistogram, EquiHeightHistogram};
 use samplehist_data::DataSpec;
 use samplehist_obs::json::{self, Json};
 use samplehist_parallel as parallel;
@@ -76,9 +73,6 @@ fn time_min<R>(mut f: impl FnMut() -> R) -> (f64, R) {
     (best, out.expect("REPS >= 1"))
 }
 
-/// Range probes per timed lookup repetition.
-const LOOKUP_PROBES: usize = 65_536;
-
 /// One measurement row of the output file.
 struct Row {
     distribution: &'static str,
@@ -86,8 +80,6 @@ struct Row {
     route: &'static str,
     seconds: f64,
     speedup_vs_sort: f64,
-    /// Per-probe cost, only for `kind == "lookup"` rows.
-    ns_per_op: Option<f64>,
 }
 
 /// Equi-height sort vs auto rows plus the compressed sort vs sort-free
@@ -105,7 +97,6 @@ fn bench_distribution(name: &'static str, values: &[i64]) -> Vec<Row> {
         route: "sort",
         seconds: sort_s,
         speedup_vs_sort: 1.0,
-        ns_per_op: None,
     });
     // The sort path rearranges its input, so a caller keeping the column
     // pays a defensive copy — timed, like the baseline's. The radix path
@@ -127,7 +118,6 @@ fn bench_distribution(name: &'static str, values: &[i64]) -> Vec<Row> {
         route: "auto",
         seconds: auto_s,
         speedup_vs_sort: sort_s / auto_s,
-        ns_per_op: None,
     });
     println!(
         "{name}: equi_height auto {auto_s:.3}s vs sort {sort_s:.3}s  ({:.2}x)",
@@ -149,7 +139,6 @@ fn bench_distribution(name: &'static str, values: &[i64]) -> Vec<Row> {
         route: "sort",
         seconds: csort_s,
         speedup_vs_sort: 1.0,
-        ns_per_op: None,
     });
     rows.push(Row {
         distribution: name,
@@ -157,75 +146,12 @@ fn bench_distribution(name: &'static str, values: &[i64]) -> Vec<Row> {
         route: "sortfree",
         seconds: cfree_s,
         speedup_vs_sort: csort_s / cfree_s,
-        ns_per_op: None,
     });
     println!(
         "{name}: compressed sortfree {cfree_s:.3}s vs sort {csort_s:.3}s  ({:.2}x)",
         csort_s / cfree_s
     );
 
-    // -- Serve-time lookups over the histogram just built: the legacy
-    //    bisect path (per-call `RangeEstimator::new`, the engine's old
-    //    behavior) vs the branchless Eytzinger index with the batched
-    //    entry point. Both answer the same probe set; the index must be
-    //    bit-identical and no slower.
-    let mut prng = StdRng::seed_from_u64(0x100C);
-    let lo = reference.min_value().saturating_sub(1000);
-    let hi = reference.max_value().saturating_add(1000);
-    let probes: Vec<(i64, i64)> = (0..LOOKUP_PROBES)
-        .map(|_| {
-            let x = prng.gen_range(lo..hi);
-            (x, x.saturating_add(prng.gen_range(0..(hi - lo).max(2) / 8)))
-        })
-        .collect();
-    let (scan_s, scan_out) = time_min(|| {
-        let mut out = Vec::with_capacity(probes.len());
-        for &(x, y) in &probes {
-            out.push(RangeEstimator::new(&reference).estimate_range(x, y));
-        }
-        out
-    });
-    let index = BucketIndex::new(&reference);
-    let (idx_s, idx_out) = time_min(|| {
-        let mut out = vec![0.0; probes.len()];
-        index.estimate_range_batch(&probes, &mut out);
-        out
-    });
-    for (i, (a, b)) in scan_out.iter().zip(&idx_out).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{name}: indexed lookup diverged from scan on probe {i} ({:?})",
-            probes[i]
-        );
-    }
-    assert!(
-        idx_s <= scan_s,
-        "{name}: indexed lookups ({idx_s:.4}s) slower than scan ({scan_s:.4}s) at k = {BUCKETS}"
-    );
-    let per_op = 1e9 / probes.len() as f64;
-    rows.push(Row {
-        distribution: name,
-        kind: "lookup",
-        route: "scan",
-        seconds: scan_s,
-        speedup_vs_sort: 1.0,
-        ns_per_op: Some(scan_s * per_op),
-    });
-    rows.push(Row {
-        distribution: name,
-        kind: "lookup",
-        route: "indexed",
-        seconds: idx_s,
-        speedup_vs_sort: scan_s / idx_s,
-        ns_per_op: Some(idx_s * per_op),
-    });
-    println!(
-        "{name}: lookup indexed {:.1} ns/op vs scan {:.1} ns/op  ({:.2}x)",
-        idx_s * per_op,
-        scan_s * per_op,
-        scan_s / idx_s
-    );
     rows
 }
 
@@ -253,13 +179,10 @@ fn require_str_in(obj: &Json, key: &str, allowed: &[&str]) -> Result<(), String>
 
 fn check_row(row: &Json) -> Result<(), String> {
     require_str_in(row, "distribution", &["uniform_dup", "zipf_shuffled"])?;
-    require_str_in(row, "kind", &["equi_height", "compressed", "lookup"])?;
-    require_str_in(row, "route", &["auto", "sort", "sortfree", "scan", "indexed"])?;
+    require_str_in(row, "kind", &["equi_height", "compressed"])?;
+    require_str_in(row, "route", &["auto", "sort", "sortfree"])?;
     require_positive_f64(row, "seconds")?;
     require_positive_f64(row, "speedup_vs_sort")?;
-    if row.get("kind").and_then(Json::as_str) == Some("lookup") {
-        require_positive_f64(row, "ns_per_op")?;
-    }
     Ok(())
 }
 
@@ -476,10 +399,6 @@ fn main() -> ExitCode {
 
     let mut row_json = String::new();
     for (i, r) in rows.iter().enumerate() {
-        let ns = match r.ns_per_op {
-            Some(v) => format!(",\n      \"ns_per_op\": {v:.2}"),
-            None => String::new(),
-        };
         row_json.push_str(&format!(
             concat!(
                 "    {{\n",
@@ -487,7 +406,7 @@ fn main() -> ExitCode {
                 "      \"kind\": \"{kind}\",\n",
                 "      \"route\": \"{route}\",\n",
                 "      \"seconds\": {secs:.6},\n",
-                "      \"speedup_vs_sort\": {speedup:.3}{ns}\n",
+                "      \"speedup_vs_sort\": {speedup:.3}\n",
                 "    }}{comma}\n",
             ),
             dist = r.distribution,
@@ -495,7 +414,6 @@ fn main() -> ExitCode {
             route = r.route,
             secs = r.seconds,
             speedup = r.speedup_vs_sort,
-            ns = ns,
             comma = if i + 1 < rows.len() { "," } else { "" },
         ));
     }

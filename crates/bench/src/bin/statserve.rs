@@ -77,8 +77,7 @@ use rand::{Rng, SeedableRng};
 use samplehist_data::scenario::{PredicateSpec, ScenarioSpec};
 use samplehist_data::{HistogramSampler, Zipf};
 use samplehist_engine::{
-    analyze, estimate_cardinality, estimate_cardinality_scan, AnalyzeOptions, CardinalityEstimate,
-    Predicate, Table,
+    analyze, estimate_cardinality, AnalyzeOptions, CardinalityEstimate, Predicate, Table,
 };
 use samplehist_obs::json::{self, Json};
 use samplehist_obs::prom::validate_exposition;
@@ -268,21 +267,12 @@ fn run_workload(
     (svc, WorkloadResult { queries, hits, misses, stale, latencies_us, mutations }, elapsed)
 }
 
-// -- lookup-heavy phase -------------------------------------------------
+// -- lookup accuracy phase ----------------------------------------------
 
-/// Buckets for the lookup phase: wide enough that the scan path's
-/// per-call `O(k)` cumulative rebuild is load-bearing.
+/// Buckets for the lookup phase.
 const LOOKUP_BUCKETS: usize = 600;
-/// Estimation calls per timed repetition.
+/// Estimation calls in the phase.
 const LOOKUP_PROBES: usize = 16_384;
-/// Timed repetitions; the minimum is reported.
-const LOOKUP_REPS: usize = 3;
-
-struct LookupResult {
-    indexed_ns_per_op: f64,
-    scan_ns_per_op: f64,
-    qerr: [f64; 4], // p50, p95, p99, max
-}
 
 /// q-error with the standard max(·, 1) clamp, so zero-row truths and
 /// estimates do not blow the ratio up to infinity.
@@ -300,14 +290,11 @@ fn percentile_f64(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Serve-time lookup microbenchmark: the same `estimate_cardinality`
-/// entry point the service routes through, once over the prebuilt
-/// bucket index and once over the legacy bisect/rebuild path, on a
-/// duplicate-heavy column analyzed at `LOOKUP_BUCKETS` buckets with a
-/// compressed side table. Every probe is asserted bit-identical across
-/// the two routes before anything is timed, and q-error percentiles
-/// against exact cardinalities are reported alongside the ns/op.
-fn run_lookup_phase(n: usize) -> LookupResult {
+/// Serve-time lookup accuracy: the `estimate_cardinality` entry point
+/// the service routes through, on a duplicate-heavy column analyzed at
+/// `LOOKUP_BUCKETS` buckets with a compressed side table. Returns the
+/// q-error p50, p95, p99 and max against exact cardinalities.
+fn run_lookup_phase(n: usize) -> [f64; 4] {
     let mut rng = StdRng::seed_from_u64(0x10CA);
     // One third heavy duplicates over a small domain (compressed side
     // table), two thirds scattered (residual interpolation).
@@ -326,9 +313,6 @@ fn run_lookup_phase(n: usize) -> LookupResult {
         &mut rng,
     )
     .expect("lookup ANALYZE");
-    // What `StatsCatalog::install` does before publishing: readers never
-    // pay index construction.
-    stats.index();
 
     let mut prng = StdRng::seed_from_u64(0x9E37);
     let predicates: Vec<Predicate> = (0..LOOKUP_PROBES)
@@ -343,58 +327,17 @@ fn run_lookup_phase(n: usize) -> LookupResult {
         })
         .collect();
 
-    // Correctness pass: the fast path must be bit-identical to the scan
-    // path on every probe, and q-errors are collected against exact
-    // cardinalities on the sorted data.
     let mut qs: Vec<f64> = predicates
         .iter()
-        .map(|p| {
-            let fast = estimate_cardinality(&stats, p);
-            let scan = estimate_cardinality_scan(&stats, p);
-            assert_eq!(
-                fast.rows.to_bits(),
-                scan.rows.to_bits(),
-                "{p}: indexed {} vs scan {}",
-                fast.rows,
-                scan.rows
-            );
-            qerror(fast.rows, p.true_cardinality(&sorted) as f64)
-        })
+        .map(|p| qerror(estimate_cardinality(&stats, p).rows, p.true_cardinality(&sorted) as f64))
         .collect();
     qs.sort_by(|a, b| a.partial_cmp(b).expect("q-errors are finite"));
-
-    let time_route = |f: &dyn Fn(&Predicate) -> f64| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..LOOKUP_REPS {
-            let started = Instant::now();
-            let mut acc = 0.0;
-            for p in &predicates {
-                acc += f(p);
-            }
-            let elapsed = started.elapsed().as_secs_f64();
-            std::hint::black_box(acc);
-            best = best.min(elapsed);
-        }
-        best * 1e9 / predicates.len() as f64
-    };
-    let indexed_ns_per_op = time_route(&|p| estimate_cardinality(&stats, p).rows);
-    let scan_ns_per_op = time_route(&|p| estimate_cardinality_scan(&stats, p).rows);
-    assert!(
-        indexed_ns_per_op <= scan_ns_per_op,
-        "indexed lookups ({indexed_ns_per_op:.1} ns/op) slower than scan \
-         ({scan_ns_per_op:.1} ns/op) at k = {LOOKUP_BUCKETS}"
-    );
-
-    LookupResult {
-        indexed_ns_per_op,
-        scan_ns_per_op,
-        qerr: [
-            percentile_f64(&qs, 0.50),
-            percentile_f64(&qs, 0.95),
-            percentile_f64(&qs, 0.99),
-            qs.last().copied().unwrap_or(0.0),
-        ],
-    }
+    [
+        percentile_f64(&qs, 0.50),
+        percentile_f64(&qs, 0.95),
+        percentile_f64(&qs, 0.99),
+        qs.last().copied().unwrap_or(0.0),
+    ]
 }
 
 // -- write-heavy refresh phase ------------------------------------------
@@ -1224,19 +1167,6 @@ fn check_file(path: &str, require_replay: bool) -> Result<(), String> {
     if require_u64(lk, "buckets")? == 0 || require_u64(lk, "probes")? == 0 {
         return Err("lookup phase ran no probes".into());
     }
-    let require_pos = |key: &str| -> Result<f64, String> {
-        match lk.get(key).and_then(Json::as_f64) {
-            Some(v) if v > 0.0 => Ok(v),
-            _ => Err(format!("missing/non-positive lookup {key:?}")),
-        }
-    };
-    let indexed = require_pos("indexed_ns_per_op")?;
-    let scan = require_pos("scan_ns_per_op")?;
-    if indexed > scan {
-        return Err(format!(
-            "indexed lookups ({indexed:.1} ns/op) slower than scan ({scan:.1} ns/op)"
-        ));
-    }
     check_qerror_quartet(require_section(lk, "qerror")?, "lookup")?;
 
     let r = require_section(&obj, "refreshes")?;
@@ -1626,15 +1556,9 @@ fn main() -> ExitCode {
         refresh.full_wall_ns_avg / 1e6,
     );
     println!(
-        "lookup phase (k = {LOOKUP_BUCKETS}, {LOOKUP_PROBES} probes): indexed {:.1} ns/op vs \
-         scan {:.1} ns/op ({:.1}x); q-error p50 {:.3}, p95 {:.3}, p99 {:.3}, max {:.3}",
-        lookup.indexed_ns_per_op,
-        lookup.scan_ns_per_op,
-        lookup.scan_ns_per_op / lookup.indexed_ns_per_op,
-        lookup.qerr[0],
-        lookup.qerr[1],
-        lookup.qerr[2],
-        lookup.qerr[3],
+        "lookup phase (k = {LOOKUP_BUCKETS}, {LOOKUP_PROBES} probes): \
+         q-error p50 {:.3}, p95 {:.3}, p99 {:.3}, max {:.3}",
+        lookup[0], lookup[1], lookup[2], lookup[3],
     );
     let mut lat = result.latencies_us;
     lat.sort_unstable();
@@ -1730,9 +1654,6 @@ fn main() -> ExitCode {
             "  \"lookup\": {{\n",
             "    \"buckets\": {lk_k},\n",
             "    \"probes\": {lk_probes},\n",
-            "    \"indexed_ns_per_op\": {lk_idx:.2},\n",
-            "    \"scan_ns_per_op\": {lk_scan:.2},\n",
-            "    \"speedup\": {lk_speedup:.2},\n",
             "    \"qerror\": {{\n",
             "      \"p50\": {lk_q50:.4},\n",
             "      \"p95\": {lk_q95:.4},\n",
@@ -1786,13 +1707,10 @@ fn main() -> ExitCode {
         muts = result.mutations,
         lk_k = LOOKUP_BUCKETS,
         lk_probes = LOOKUP_PROBES,
-        lk_idx = lookup.indexed_ns_per_op,
-        lk_scan = lookup.scan_ns_per_op,
-        lk_speedup = lookup.scan_ns_per_op / lookup.indexed_ns_per_op,
-        lk_q50 = lookup.qerr[0],
-        lk_q95 = lookup.qerr[1],
-        lk_q99 = lookup.qerr[2],
-        lk_qmax = lookup.qerr[3],
+        lk_q50 = lookup[0],
+        lk_q95 = lookup[1],
+        lk_q99 = lookup[2],
+        lk_qmax = lookup[3],
         completed = tally.completed,
         failed = tally.failed,
         probes = tally.probes,

@@ -15,8 +15,10 @@
 use rand::Rng;
 
 use samplehist_core::error::{fractional_max_error, max_error_against};
-use samplehist_core::estimate::{true_range_count, RangeEstimator};
-use samplehist_core::histogram::{CompressedHistogram, EquiHeightHistogram, EquiWidthHistogram};
+use samplehist_core::estimate::true_range_count;
+use samplehist_core::histogram::{
+    BucketIndex, CompressedHistogram, CompressedIndex, EquiHeightHistogram, EquiWidthHistogram,
+};
 use samplehist_core::sampling::{self, cvb, BlockSource, CvbConfig, Schedule, ValidationMode};
 use samplehist_data::DataSpec;
 use samplehist_storage::Layout;
@@ -236,10 +238,9 @@ fn structure_ablation(scale: &Scale) -> ResultTable {
     let mut sorted = spec.generate(n, &mut rng).values;
     sorted.sort_unstable();
 
-    let eh = EquiHeightHistogram::from_sorted(&sorted, k);
+    let eh = BucketIndex::new(&EquiHeightHistogram::from_sorted(&sorted, k));
     let ew = EquiWidthHistogram::from_sorted(&sorted, k);
-    let ch = CompressedHistogram::from_sorted(&sorted, k);
-    let eh_est = RangeEstimator::new(&eh);
+    let ch = CompressedIndex::new(&CompressedHistogram::from_sorted(&sorted, k));
 
     // Random range queries over the value domain.
     let (lo, hi) = (sorted[0], *sorted.last().expect("non-empty"));
@@ -252,7 +253,7 @@ fn structure_ablation(scale: &Scale) -> ResultTable {
         let (x, y) = (a.min(b), a.max(b));
         let truth = true_range_count(&sorted, x, y) as f64;
         let errs = [
-            (eh_est.estimate_range(x, y) - truth).abs(),
+            (eh.estimate_range(x, y) - truth).abs(),
             (ew.estimate_range(x, y) - truth).abs(),
             (ch.estimate_range(x, y) - truth).abs(),
         ];
@@ -263,7 +264,7 @@ fn structure_ablation(scale: &Scale) -> ResultTable {
         // Point queries on a random existing value.
         let v = sorted[rng.gen_range(0..sorted.len())];
         let point_truth = true_range_count(&sorted, v, v) as f64;
-        eq_err[0] += (eh_est.estimate_range(v, v) - point_truth).abs();
+        eq_err[0] += (eh.estimate_range(v, v) - point_truth).abs();
         eq_err[1] += (ew.estimate_range(v, v) - point_truth).abs();
         eq_err[2] += (ch.estimate_eq(v) - point_truth).abs();
     }

@@ -19,7 +19,7 @@ use samplehist_core::bounds::range::{
 };
 use samplehist_core::error::summarize_counts;
 use samplehist_core::estimate::evaluate_range_query;
-use samplehist_core::histogram::EquiHeightHistogram;
+use samplehist_core::histogram::{BucketIndex, EquiHeightHistogram};
 
 use crate::output::ResultTable;
 use crate::scale::Scale;
@@ -114,12 +114,13 @@ impl Adversary {
     fn worst_aligned_error(&self) -> f64 {
         let k = self.hist.num_buckets();
         let w = self.bucket_width;
+        let index = BucketIndex::new(&self.hist);
         let mut worst = 0.0f64;
         for i in 0..k {
             for j in (i + 1)..=k {
                 let x = i as i64 * w + 1;
                 let y = j as i64 * w;
-                let err = evaluate_range_query(&self.hist, &self.data, x, y);
+                let err = evaluate_range_query(&index, &self.data, x, y);
                 worst = worst.max(err.absolute);
             }
         }

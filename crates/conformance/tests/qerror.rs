@@ -7,7 +7,8 @@
 //! This experiment builds histograms from Corollary-1 sample sizes at a
 //! loose and a tight error target over a Zipf(1) population, routes a
 //! fixed probe workload through the batched serve-time kernels
-//! ([`BucketIndex::estimate_range_batch`] / `estimate_eq_batch`] — the
+//! ([`BucketIndex::estimate_range_batch`] /
+//! [`BucketIndex::estimate_eq_batch`] — the
 //! same entry points production estimation uses), folds every q-error
 //! into the telemetry [`QuantileSketch`], and compares the per-trial p95
 //! averaged across seeded trials.

@@ -9,4 +9,4 @@ pub use density::{
     duplication_density, duplication_density_from_profile, expected_equality_matches,
     squared_frequency_density,
 };
-pub use range::{evaluate_range_query, true_range_count, RangeEstimator, RangeQueryError};
+pub use range::{evaluate_range_query, true_range_count, RangeQueryError};

@@ -1,106 +1,16 @@
-//! Range-query result-size estimation from an equi-height histogram.
+//! Range-query result-size estimation from an equi-height histogram,
+//! evaluated against ground truth.
 //!
-//! Implements the "typical strategy" of paper Section 2.2: for a query
-//! interval `[x, y]`, sum the full buckets strictly inside the range and
-//! interpolate the two partial buckets at the ends, assuming values are
-//! spread uniformly across each bucket's domain interval. Interpolation is
-//! the irreducible source of error — even the perfect histogram carries up
-//! to `2n/k` of it (Theorem 1.1) — and histogram *count* error adds on top,
-//! which is exactly what Theorems 1 and 3 quantify.
+//! The estimate is the "typical strategy" of paper Section 2.2, served by
+//! [`BucketIndex`]: for a query interval `[x, y]`, sum the full buckets
+//! strictly inside the range and interpolate the two partial buckets at
+//! the ends, assuming values are spread uniformly across each bucket's
+//! domain interval. Interpolation is the irreducible source of error —
+//! even the perfect histogram carries up to `2n/k` of it (Theorem 1.1) —
+//! and histogram *count* error adds on top, which is exactly what
+//! Theorems 1 and 3 quantify.
 
-use crate::histogram::{count_le, EquiHeightHistogram};
-
-/// A prepared range estimator over one histogram (precomputes cumulative
-/// counts so each query costs `O(log k)`).
-#[derive(Debug, Clone)]
-pub struct RangeEstimator<'a> {
-    hist: &'a EquiHeightHistogram,
-    /// `cumulative[j]` = estimated number of values in buckets `0..=j`.
-    cumulative: Vec<u64>,
-}
-
-impl<'a> RangeEstimator<'a> {
-    /// Prepare an estimator for `hist`.
-    pub fn new(hist: &'a EquiHeightHistogram) -> Self {
-        let mut cumulative = Vec::with_capacity(hist.num_buckets());
-        let mut acc = 0u64;
-        for &c in hist.counts() {
-            acc += c;
-            cumulative.push(acc);
-        }
-        Self { hist, cumulative }
-    }
-
-    /// Estimated number of values `≤ t`.
-    ///
-    /// Uses linear interpolation inside the bucket containing `t`. The
-    /// first bucket's open lower edge is anchored at `min_value − 1` and
-    /// the last bucket's open upper edge at `max_value`, matching how a
-    /// system that stores the column min/max alongside the histogram
-    /// interpolates its edge buckets.
-    pub fn estimate_le(&self, t: i64) -> f64 {
-        let h = self.hist;
-        if t < h.min_value() {
-            return 0.0;
-        }
-        if t >= h.max_value() {
-            return h.total() as f64;
-        }
-        let j = h.bucket_of(t);
-        let below = if j == 0 { 0 } else { self.cumulative[j - 1] } as f64;
-        // Edge arithmetic in i128: the first bucket's `min − 1` anchor
-        // underflows i64 when the column minimum is `i64::MIN`, and a
-        // full-span bucket's width `upper − lower` can exceed i64 range.
-        // Where i64 sufficed the widened ops produce the same integers,
-        // hence bit-identical fractions.
-        let lower: i128 = if j == 0 {
-            h.min_value() as i128 - 1 // exclusive lower edge of the first bucket
-        } else {
-            h.separators()[j - 1] as i128
-        };
-        let upper: i128 = if j == h.num_buckets() - 1 {
-            h.max_value() as i128
-        } else {
-            h.separators()[j] as i128
-        };
-        let fraction = if upper <= lower {
-            // Degenerate bucket (single duplicated value): all-or-nothing.
-            if t as i128 >= upper {
-                1.0
-            } else {
-                0.0
-            }
-        } else {
-            // Continuous-uniform assumption over the half-open (lower, upper].
-            ((t as i128 - lower) as f64 / (upper - lower) as f64).clamp(0.0, 1.0)
-        };
-        below + fraction * h.counts()[j] as f64
-    }
-
-    /// Estimated number of values `< t`.
-    pub fn estimate_lt(&self, t: i64) -> f64 {
-        if t == i64::MIN {
-            0.0
-        } else {
-            self.estimate_le(t - 1)
-        }
-    }
-
-    /// Estimated output size of the range query `x ≤ v ≤ y`.
-    ///
-    /// Returns 0 for empty ranges (`x > y`).
-    pub fn estimate_range(&self, x: i64, y: i64) -> f64 {
-        if x > y {
-            return 0.0;
-        }
-        (self.estimate_le(y) - self.estimate_lt(x)).max(0.0)
-    }
-
-    /// Estimated selectivity (fraction of tuples) of `x ≤ v ≤ y`.
-    pub fn estimate_selectivity(&self, x: i64, y: i64) -> f64 {
-        self.estimate_range(x, y) / self.hist.total() as f64
-    }
-}
+use crate::histogram::{count_le, BucketIndex};
 
 /// Exact output size of `x ≤ v ≤ y` over sorted data (ground truth).
 pub fn true_range_count(sorted: &[i64], x: i64, y: i64) -> u64 {
@@ -128,15 +38,15 @@ pub struct RangeQueryError {
     pub relative: Option<f64>,
 }
 
-/// Evaluate the query `x ≤ v ≤ y` with `hist` against ground truth
-/// `sorted`.
+/// Evaluate the query `x ≤ v ≤ y` with a histogram's `index` against
+/// ground truth `sorted`.
 pub fn evaluate_range_query(
-    hist: &EquiHeightHistogram,
+    index: &BucketIndex,
     sorted: &[i64],
     x: i64,
     y: i64,
 ) -> RangeQueryError {
-    let estimate = RangeEstimator::new(hist).estimate_range(x, y);
+    let estimate = index.estimate_range(x, y);
     let truth = true_range_count(sorted, x, y);
     let absolute = (estimate - truth as f64).abs();
     let relative = (truth > 0).then(|| absolute / truth as f64);
@@ -148,6 +58,7 @@ mod tests {
     use super::*;
     use crate::bounds::range::max_bounded_envelope;
     use crate::error::max_error_against;
+    use crate::histogram::{CompressedHistogram, CompressedIndex, EquiHeightHistogram};
 
     fn uniform(n: i64) -> Vec<i64> {
         (1..=n).collect()
@@ -157,7 +68,7 @@ mod tests {
     fn estimate_le_edges() {
         let data = uniform(100);
         let h = EquiHeightHistogram::from_sorted(&data, 10);
-        let est = RangeEstimator::new(&h);
+        let est = BucketIndex::new(&h);
         assert_eq!(est.estimate_le(0), 0.0);
         assert_eq!(est.estimate_le(100), 100.0);
         assert_eq!(est.estimate_le(1_000_000), 100.0);
@@ -170,7 +81,7 @@ mod tests {
         // exact at every point.
         let data = uniform(1000);
         let h = EquiHeightHistogram::from_sorted(&data, 10);
-        let est = RangeEstimator::new(&h);
+        let est = BucketIndex::new(&h);
         for t in [1i64, 37, 100, 499, 500, 777, 999] {
             let truth = count_le(&data, t) as f64;
             assert!(
@@ -185,11 +96,11 @@ mod tests {
     fn range_queries_on_uniform_data() {
         let data = uniform(1000);
         let h = EquiHeightHistogram::from_sorted(&data, 10);
-        let est = RangeEstimator::new(&h);
+        let est = BucketIndex::new(&h);
         assert!((est.estimate_range(101, 200) - 100.0).abs() < 1e-9);
         assert!((est.estimate_range(1, 1000) - 1000.0).abs() < 1e-9);
         assert_eq!(est.estimate_range(500, 499), 0.0, "empty range");
-        assert!((est.estimate_selectivity(1, 500) - 0.5).abs() < 1e-9);
+        assert!((est.estimate_range(1, 500) / h.total() as f64 - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -214,7 +125,7 @@ mod tests {
         data.extend([1, 2, 3, 4, 5, 96, 97, 98, 99, 100]);
         data.sort_unstable();
         let h = EquiHeightHistogram::from_sorted(&data, 10);
-        let est = RangeEstimator::new(&h);
+        let est = BucketIndex::new(&h);
         // Plain histogram: the 95-tuple bucket (-inf, 50] is spread over
         // (min-1, 50], so [50,50] sees only ~1/50 of it.
         let plain = est.estimate_range(50, 50);
@@ -224,7 +135,7 @@ mod tests {
         assert!((covering - 95.0).abs() < 1e-9, "covering query: {covering}");
 
         // Compressed histogram: exact for the heavy value.
-        let c = crate::histogram::CompressedHistogram::from_sorted(&data, 10);
+        let c = CompressedIndex::new(&CompressedHistogram::from_sorted(&data, 10));
         assert_eq!(c.estimate_eq(50), 90.0);
         // And the light tail is no longer contaminated by the heavy mass.
         let light = c.estimate_range(96, 100);
@@ -271,11 +182,12 @@ mod tests {
         // Theorem 3 envelope at f = f_cum, plus the ±1-per-bucket rounding
         // slack of the stored (scaled) counts.
         let envelope = max_bounded_envelope(n, k, 1.0, f_cum).absolute + 2.0 * k as f64;
+        let index = BucketIndex::new(&h);
         for _ in 0..200 {
             let a = rng.gen_range(0..100_000i64);
             let b = rng.gen_range(0..100_000i64);
             let (x, y) = (a.min(b), a.max(b));
-            let err = evaluate_range_query(&h, &data, x, y);
+            let err = evaluate_range_query(&index, &data, x, y);
             assert!(
                 err.absolute <= envelope + 1e-6,
                 "query [{x},{y}]: abs err {} > envelope {envelope}",
@@ -288,7 +200,7 @@ mod tests {
     fn relative_error_is_none_on_empty_result() {
         let data = uniform(100);
         let h = EquiHeightHistogram::from_sorted(&data, 4);
-        let err = evaluate_range_query(&h, &data, 2000, 3000);
+        let err = evaluate_range_query(&BucketIndex::new(&h), &data, 2000, 3000);
         assert_eq!(err.truth, 0);
         assert!(err.relative.is_none());
     }

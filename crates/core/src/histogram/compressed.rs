@@ -7,13 +7,13 @@
 //! ill-defined. Compressed histograms pull such **high-frequency values**
 //! out into an exact value→count side table and build an ordinary
 //! equi-height histogram over the residue with the remaining buckets.
-//! Range and equality estimation then answer from both parts.
+//! Range and equality estimation then answer from both parts, through a
+//! [`CompressedIndex`](super::CompressedIndex).
 
 use samplehist_parallel as parallel;
 
 use super::equi_height::EquiHeightHistogram;
 use super::radix;
-use crate::estimate::RangeEstimator;
 
 /// Value arrays shorter than this verify heavy candidates serially.
 const PAR_COUNT_MIN: usize = 1 << 16;
@@ -356,38 +356,6 @@ impl CompressedHistogram {
     pub fn buckets_used(&self) -> usize {
         self.high_freq.len() + self.residual.as_ref().map_or(0, |h| h.num_buckets())
     }
-
-    /// Exact count for an equality predicate `col = v` when `v` is a
-    /// high-frequency value; estimated from the residual otherwise
-    /// (uniform spread across the bucket's domain width).
-    pub fn estimate_eq(&self, v: i64) -> f64 {
-        if let Ok(idx) = self.high_freq.binary_search_by_key(&v, |&(hv, _)| hv) {
-            return self.high_freq[idx].1 as f64;
-        }
-        match &self.residual {
-            None => 0.0,
-            Some(h) => {
-                // One-point range over the residual.
-                RangeEstimator::new(h).estimate_range(v, v)
-            }
-        }
-    }
-
-    /// Estimated output size of the range query `x ≤ col ≤ y`: exact
-    /// contributions from high-frequency values in range plus the residual
-    /// histogram's interpolated estimate.
-    pub fn estimate_range(&self, x: i64, y: i64) -> f64 {
-        if x > y {
-            return 0.0;
-        }
-        let heavy: u64 =
-            self.high_freq.iter().filter(|&&(v, _)| v >= x && v <= y).map(|&(_, c)| c).sum();
-        let light = match &self.residual {
-            None => 0.0,
-            Some(h) => RangeEstimator::new(h).estimate_range(x, y),
-        };
-        heavy as f64 + light
-    }
 }
 
 /// Exact `(value, count)` pairs with count strictly above `threshold`,
@@ -456,6 +424,7 @@ fn filter_residual(values: &[i64], runs: &[(i64, u64)]) -> Vec<i64> {
 mod tests {
     use super::*;
     use crate::estimate::true_range_count;
+    use crate::histogram::CompressedIndex;
     use proptest::prelude::*;
 
     fn skewed_data() -> Vec<i64> {
@@ -485,7 +454,7 @@ mod tests {
     #[test]
     fn equality_estimates_are_exact_for_heavy_values() {
         let data = skewed_data();
-        let h = CompressedHistogram::from_sorted(&data, 10);
+        let h = CompressedIndex::new(&CompressedHistogram::from_sorted(&data, 10));
         assert_eq!(h.estimate_eq(100), 500.0);
         assert_eq!(h.estimate_eq(200), 300.0);
         // A light value: residual estimate is ~1 (200 values, 8 buckets).
@@ -496,7 +465,7 @@ mod tests {
     #[test]
     fn range_estimates_combine_both_parts() {
         let data = skewed_data();
-        let h = CompressedHistogram::from_sorted(&data, 10);
+        let h = CompressedIndex::new(&CompressedHistogram::from_sorted(&data, 10));
         // [100, 200] contains both heavy values and light 101..=199: none
         // (light values are 0..99 and 300..399).
         let est = h.estimate_range(100, 200);
@@ -524,9 +493,10 @@ mod tests {
         let h = CompressedHistogram::from_sorted(&data, 4);
         assert_eq!(h.high_frequency_values(), &[(5, 100)]);
         assert!(h.residual().is_none());
-        assert_eq!(h.estimate_eq(5), 100.0);
-        assert_eq!(h.estimate_eq(6), 0.0);
-        assert_eq!(h.estimate_range(0, 10), 100.0);
+        let idx = CompressedIndex::new(&h);
+        assert_eq!(idx.estimate_eq(5), 100.0);
+        assert_eq!(idx.estimate_eq(6), 0.0);
+        assert_eq!(idx.estimate_range(0, 10), 100.0);
     }
 
     #[test]
@@ -571,7 +541,8 @@ mod tests {
         let seven = heavy.iter().find(|&&(v, _)| v == 7).expect("7 is heavy");
         assert!((seven.1 as f64 - 5_000.0).abs() < 900.0, "scaled heavy count = {}", seven.1);
         // Range over everything ≈ n.
-        assert!((h.estimate_range(i64::MIN, i64::MAX) - 10_000.0).abs() < 600.0);
+        let whole = CompressedIndex::new(&h).estimate_range(i64::MIN, i64::MAX);
+        assert!((whole - 10_000.0).abs() < 600.0);
     }
 
     #[test]

@@ -160,9 +160,8 @@ mod tests {
     /// a head-range query is far worse than equi-height's.
     #[test]
     fn worse_than_equi_height_on_skew() {
-        use crate::estimate::{evaluate_range_query, RangeEstimator};
-        use crate::histogram::EquiHeightHistogram;
-        let _ = RangeEstimator::new; // (symmetry with the equi-height path)
+        use crate::estimate::evaluate_range_query;
+        use crate::histogram::{BucketIndex, EquiHeightHistogram};
 
         // Zipf-ish: value v appears ~1/(v+1) times, values up to 100k.
         let mut data = Vec::new();
@@ -172,7 +171,7 @@ mod tests {
         }
         data.sort_unstable();
         let k = 20;
-        let eh = EquiHeightHistogram::from_sorted(&data, k);
+        let eh = BucketIndex::new(&EquiHeightHistogram::from_sorted(&data, k));
         let ew = EquiWidthHistogram::from_sorted(&data, k);
 
         // A query inside the dense head.

@@ -1,12 +1,8 @@
 //! Serve-time bucket indexes: branchless tree search over histogram
 //! separators, built once per ANALYZE and amortized across millions of
-//! estimation calls.
-//!
-//! The estimation hot path used to be `separators.partition_point(..)` —
-//! a data-dependent binary search over a sorted slice — plus, on the
-//! engine side, an `O(k)` cumulative-count rebuild *per call*
-//! ([`RangeEstimator::new`]). This module replaces both with structures
-//! in the spirit of "Enhancing Histograms by Tree-Like Bucket Indices":
+//! estimation calls. They compute the paper's Section 2.2 range estimate
+//! for every caller, with structures in the spirit of "Enhancing
+//! Histograms by Tree-Like Bucket Indices":
 //!
 //! * [`BucketIndex`] — an Eytzinger (BFS-order) layout of the equi-height
 //!   separators, padded to a full tree so every probe runs a **fixed
@@ -18,18 +14,19 @@
 //!   sum becomes two descents and a subtraction), delegating the light
 //!   residue to a nested [`BucketIndex`].
 //!
-//! Every estimate is **byte-identical** to the bisect path it replaces
-//! ([`RangeEstimator`] / [`CompressedHistogram`]'s own estimators): the
+//! Every estimate is **byte-identical** to the bisect arithmetic: the
 //! descent computes exactly `partition_point(|&s| s < v)` and the
-//! interpolation replays the same float operations in the same order.
-//! This is property-tested (`tests/index_identity.rs`), so callers may
-//! switch routes freely without perturbing plans.
+//! interpolation runs the bisect oracle's float operations in the same
+//! order. `tests/index_identity.rs` keeps that oracle and pins both
+//! indexes to it bit-for-bit, including the heavy/light classification.
 //!
 //! The batched entry points ([`BucketIndex::estimate_range_batch`],
-//! [`CompressedIndex::estimate_eq_batch`]) interleave eight descent
-//! cursors per tree level — the same eight-lane template as the radix
-//! resolver's `min_max` — so the level loop is straight-line lane math
-//! the compiler can vectorize, with per-probe arithmetic in a scalar
+//! [`BucketIndex::estimate_eq_batch`],
+//! [`CompressedIndex::estimate_range_batch`],
+//! [`CompressedIndex::estimate_eq_classified_batch`]) interleave eight
+//! descent cursors per tree level — the same eight-lane template as the
+//! radix resolver's `min_max` — so the level loop is straight-line lane
+//! math the compiler can vectorize, with per-probe arithmetic in a scalar
 //! epilogue.
 //!
 //! A caller whose thresholds arrive in ascending order needs no descent
@@ -40,9 +37,6 @@
 //! answer has the bits of [`BucketIndex::estimate_le`]. The engine's
 //! equijoin estimator merges two histograms' separators through two such
 //! cursors.
-//!
-//! [`RangeEstimator`]: crate::estimate::RangeEstimator
-//! [`RangeEstimator::new`]: crate::estimate::RangeEstimator::new
 
 use super::compressed::CompressedHistogram;
 use super::equi_height::EquiHeightHistogram;
@@ -133,14 +127,12 @@ impl Eytzinger {
 ///
 /// Construction cost is `O(k)`; every estimate thereafter is a
 /// fixed-depth descent plus three flat-array loads — no per-call
-/// cumulative rebuild, no data-dependent branches. All estimates are
-/// byte-identical to [`RangeEstimator`](crate::estimate::RangeEstimator)
-/// over the same histogram.
+/// cumulative rebuild, no data-dependent branches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BucketIndex {
     search: Eytzinger,
-    /// `below[j]` = Σ counts of buckets `0..j`, pre-converted to f64 (the
-    /// exact value `cumulative[j-1] as f64` the bisect path computes).
+    /// `below[j]` = Σ counts of buckets `0..j` (summed in u64, then
+    /// converted to f64 once).
     below: Box<[f64]>,
     /// `count[j]` = bucket j's count as f64.
     count: Box<[f64]>,
@@ -198,9 +190,16 @@ impl BucketIndex {
         self.search.partition_point(v)
     }
 
-    /// Interpolation epilogue shared by the scalar and batched paths:
-    /// replays `RangeEstimator::estimate_le`'s arithmetic exactly, with
-    /// the bucket already resolved to `j`.
+    /// Interpolation epilogue shared by the scalar and batched paths,
+    /// with the bucket already resolved to `j`.
+    ///
+    /// The first bucket's open lower edge is anchored at `min_value − 1`
+    /// and the last bucket's open upper edge at `max_value`, matching how
+    /// a system that stores the column min/max alongside the histogram
+    /// interpolates its edge buckets. Edge arithmetic is in i128: the
+    /// `min − 1` anchor underflows i64 when the column minimum is
+    /// `i64::MIN`, and a full-span bucket's width `upper − lower` can
+    /// exceed i64 range.
     #[inline]
     fn finish_le(&self, t: i64, j: usize) -> f64 {
         if t < self.min_value {
@@ -219,6 +218,7 @@ impl BucketIndex {
                 0.0
             }
         } else {
+            // Continuous-uniform assumption over the half-open (lower, upper].
             ((t as i128 - lower) as f64 / (upper - lower) as f64).clamp(0.0, 1.0)
         };
         self.below[j] + fraction * self.count[j]
@@ -389,9 +389,7 @@ impl LeCursor<'_> {
 /// A heavy range sum is two descents and one u64 subtraction (the prefix
 /// difference equals the side table's in-range sum exactly); an equality
 /// probe is one descent that *also* classifies the constant as heavy or
-/// light — which is how the engine's old double lookup (membership
-/// bisect, then a second bisect inside `estimate_eq`) collapses into a
-/// single descent.
+/// light, so the engine needs no separate membership test.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompressedIndex {
     search: Eytzinger,
@@ -443,9 +441,9 @@ impl CompressedIndex {
     }
 
     /// Equality estimate plus the heavy/light classification, from a
-    /// single descent. Byte-identical to
-    /// [`CompressedHistogram::estimate_eq`]; the flag is `true` exactly
-    /// when the old membership bisect would have hit.
+    /// single descent: the exact side-table count for a heavy value,
+    /// the residual's one-point range otherwise. The flag is `true`
+    /// exactly when `v` is in the side table.
     #[inline]
     pub fn estimate_eq_classified(&self, v: i64) -> (f64, bool) {
         let j = self.search.partition_point(v);
@@ -468,7 +466,6 @@ impl CompressedIndex {
 
     /// Estimated output size of `x ≤ v ≤ y`: exact in-range heavy mass
     /// (prefix difference) plus the residual's interpolated estimate.
-    /// Byte-identical to [`CompressedHistogram::estimate_range`].
     #[inline]
     pub fn estimate_range(&self, x: i64, y: i64) -> f64 {
         if x > y {
@@ -592,45 +589,11 @@ impl CompressedIndex {
             }
         }
     }
-
-    /// Batched equality estimation with the eight-lane heavy descent;
-    /// byte-identical to [`Self::estimate_eq`] per probe.
-    ///
-    /// # Panics
-    /// If `out.len() != probes.len()`.
-    pub fn estimate_eq_batch(&self, probes: &[i64], out: &mut [f64]) {
-        assert_eq!(probes.len(), out.len(), "output slice must match probe count");
-        let recorder = samplehist_obs::global();
-        if recorder.is_enabled() {
-            recorder.counter("index.compressed_eq_batch.calls", 1);
-            recorder.counter("index.compressed_eq_batch.probes", probes.len() as u64);
-        }
-        let mut chunks = probes.chunks_exact(LANES);
-        let mut outs = out.chunks_exact_mut(LANES);
-        for (chunk, o) in (&mut chunks).zip(&mut outs) {
-            let j = self.search.partition_point8(chunk);
-            for lane in 0..LANES {
-                let v = chunk[lane];
-                o[lane] = if j[lane] < self.values.len() && self.values[j[lane]] == v {
-                    self.counts[j[lane]] as f64
-                } else {
-                    match &self.residual {
-                        None => 0.0,
-                        Some(r) => r.estimate_range(v, v),
-                    }
-                };
-            }
-        }
-        for (&v, o) in chunks.remainder().iter().zip(outs.into_remainder()) {
-            *o = self.estimate_eq(v);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimate::RangeEstimator;
 
     fn assert_bits(a: f64, b: f64, what: &str) {
         assert_eq!(a.to_bits(), b.to_bits(), "{what}: {a} vs {b}");
@@ -657,61 +620,6 @@ mod tests {
         let tree = Eytzinger::new(&sorted);
         for v in [i64::MIN, i64::MIN + 1, -5, -4, 0, 1, 7, 8, i64::MAX - 1, i64::MAX] {
             assert_eq!(tree.partition_point(v), sorted.partition_point(|&s| s < v), "v = {v}");
-        }
-    }
-
-    #[test]
-    fn one_bucket_histogram() {
-        // No separators: the tree is empty and everything interpolates
-        // within the single bucket.
-        let h = EquiHeightHistogram::from_parts(vec![], vec![10], 0, 9);
-        let idx = BucketIndex::new(&h);
-        let est = RangeEstimator::new(&h);
-        for t in [-1, 0, 4, 9, 10] {
-            assert_bits(idx.estimate_le(t), est.estimate_le(t), "one bucket le");
-        }
-        assert_eq!(idx.num_buckets(), 1);
-    }
-
-    #[test]
-    fn all_equal_histogram_is_all_or_nothing() {
-        // Degenerate buckets: every separator equals the single value.
-        let data = vec![42i64; 100];
-        let h = EquiHeightHistogram::from_sorted(&data, 4);
-        let idx = BucketIndex::new(&h);
-        let est = RangeEstimator::new(&h);
-        for t in [41, 42, 43] {
-            assert_bits(idx.estimate_le(t), est.estimate_le(t), "all equal le");
-            assert_bits(
-                idx.estimate_range(t, t),
-                est.estimate_range(t, t),
-                "all equal point range",
-            );
-        }
-        assert_eq!(idx.estimate_eq(42), 100.0);
-        assert_eq!(idx.estimate_eq(41), 0.0);
-    }
-
-    #[test]
-    fn min_max_edge_separators() {
-        // Separators at both i64 extremes: the old bisect path's
-        // `min − 1` anchor and `upper − lower` width both leave the i64
-        // range; the widened i128 arithmetic must agree with the (also
-        // widened) RangeEstimator.
-        let h = EquiHeightHistogram::from_parts(
-            vec![i64::MIN, 0, i64::MAX],
-            vec![3, 5, 7, 11],
-            i64::MIN,
-            i64::MAX,
-        );
-        let idx = BucketIndex::new(&h);
-        let est = RangeEstimator::new(&h);
-        for t in [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX] {
-            assert_bits(idx.estimate_le(t), est.estimate_le(t), "extreme le");
-            assert_bits(idx.estimate_lt(t), est.estimate_lt(t), "extreme lt");
-        }
-        for (x, y) in [(i64::MIN, i64::MAX), (i64::MIN, 0), (0, i64::MAX), (5, 4)] {
-            assert_bits(idx.estimate_range(x, y), est.estimate_range(x, y), "extreme range");
         }
     }
 
@@ -761,47 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn compressed_index_empty_heavy_table() {
-        // All-distinct data: no value exceeds n/k, the side table is
-        // empty and everything routes to the residual.
-        let data: Vec<i64> = (0..1000).collect();
-        let c = CompressedHistogram::from_sorted(&data, 10);
-        assert!(c.high_frequency_values().is_empty());
-        let idx = CompressedIndex::new(&c);
-        for v in [-1, 0, 500, 999, 1000] {
-            assert_bits(idx.estimate_eq(v), c.estimate_eq(v), "empty heavy eq");
-        }
-        assert_bits(idx.estimate_range(100, 200), c.estimate_range(100, 200), "empty heavy rng");
-    }
-
-    #[test]
-    fn compressed_index_classifies_heavy_vs_light() {
-        let mut data = vec![50i64; 90];
-        data.extend([1, 2, 3, 4, 5, 96, 97, 98, 99, 100]);
-        data.sort_unstable();
-        let c = CompressedHistogram::from_sorted(&data, 10);
-        let idx = CompressedIndex::new(&c);
-        let (heavy_est, heavy) = idx.estimate_eq_classified(50);
-        assert!(heavy, "50 holds 90% of the column");
-        assert_eq!(heavy_est, 90.0);
-        let (_, light) = idx.estimate_eq_classified(3);
-        assert!(!light);
-        for v in [0, 3, 50, 96, 101] {
-            assert_bits(idx.estimate_eq(v), c.estimate_eq(v), "classified eq");
-        }
-        for (x, y) in [(0, 100), (50, 50), (51, 100), (101, 200), (7, 3)] {
-            assert_bits(idx.estimate_range(x, y), c.estimate_range(x, y), "compressed range");
-        }
-        // Batch agrees with scalar across lanes and remainder.
-        let probes: Vec<i64> = (0..19).map(|i| i * 7 % 110).collect();
-        let mut out = vec![0.0; probes.len()];
-        idx.estimate_eq_batch(&probes, &mut out);
-        for (i, &v) in probes.iter().enumerate() {
-            assert_bits(out[i], c.estimate_eq(v), "compressed eq batch");
-        }
-    }
-
-    #[test]
     fn compressed_range_batch_matches_scalar() {
         let mut data: Vec<i64> = (0..500).map(|i| (i * 13) % 211).collect();
         data.extend(vec![77i64; 300]);
@@ -825,23 +692,6 @@ mod tests {
         idx.estimate_range_batch(&probes, &mut out);
         for (i, &(x, y)) in probes.iter().enumerate() {
             assert_bits(out[i], idx.estimate_range(x, y), "compressed range batch lane");
-            assert_bits(out[i], c.estimate_range(x, y), "compressed range batch vs hist");
-        }
-    }
-
-    #[test]
-    fn compressed_range_batch_without_residual() {
-        // Every value heavy: no residual index at all.
-        let mut data = vec![1i64; 40];
-        data.extend(vec![2i64; 40]);
-        data.extend(vec![3i64; 40]);
-        let c = CompressedHistogram::from_sorted(&data, 4);
-        let idx = CompressedIndex::new(&c);
-        let probes: Vec<(i64, i64)> = vec![(0, 0), (1, 1), (1, 2), (0, 9), (3, 1), (2, 3)];
-        let mut out = vec![0.0; probes.len()];
-        idx.estimate_range_batch(&probes, &mut out);
-        for (i, &(x, y)) in probes.iter().enumerate() {
-            assert_bits(out[i], idx.estimate_range(x, y), "no residual range batch");
         }
     }
 

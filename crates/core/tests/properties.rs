@@ -8,10 +8,8 @@ use rand::SeedableRng;
 use samplehist_core::bounds::{corollary1_error, corollary1_sample_size, theorem5_sample_size};
 use samplehist_core::distinct::{DistinctEstimator, FrequencyProfile, Gee};
 use samplehist_core::error::{delta_separation, fractional_max_error};
-use samplehist_core::estimate::{
-    duplication_density, duplication_density_from_profile, RangeEstimator,
-};
-use samplehist_core::histogram::{selection_profitable, EquiHeightHistogram};
+use samplehist_core::estimate::{duplication_density, duplication_density_from_profile};
+use samplehist_core::histogram::{selection_profitable, BucketIndex, EquiHeightHistogram};
 use samplehist_core::math::{hypergeometric_pmf, ln_binomial};
 use samplehist_core::sampling::{Reservoir, Schedule, ScheduleContext};
 
@@ -126,7 +124,7 @@ proptest! {
     #[test]
     fn range_estimate_additive(data in multiset(), k in 1usize..8, m in -100i64..100) {
         let h = EquiHeightHistogram::from_sorted(&data, k);
-        let est = RangeEstimator::new(&h);
+        let est = BucketIndex::new(&h);
         let whole = est.estimate_range(-200, 200);
         let left = est.estimate_range(-200, m);
         let right = est.estimate_range(m + 1, 200);
@@ -201,8 +199,8 @@ proptest! {
         use samplehist_core::histogram::codec;
         let h = EquiHeightHistogram::from_sorted(&data, k);
         let back = codec::decode(&codec::encode(&h)).expect("round trip");
-        let a = RangeEstimator::new(&h);
-        let b = RangeEstimator::new(&back);
+        let a = BucketIndex::new(&h);
+        let b = BucketIndex::new(&back);
         for t in [-150i64, -3, 0, 42, 150] {
             prop_assert_eq!(a.estimate_le(t).to_bits(), b.estimate_le(t).to_bits());
         }

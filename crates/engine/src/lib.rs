@@ -71,8 +71,7 @@ pub use feedback::nudge_counts;
 pub use predicate::Predicate;
 pub use samplehist_core::sampling::{DegradationPolicy, DegradationReport};
 pub use selectivity::{
-    estimate_cardinality, estimate_cardinality_batch, estimate_cardinality_scan, estimate_equijoin,
-    CardinalityEstimate,
+    estimate_cardinality, estimate_cardinality_batch, estimate_equijoin, CardinalityEstimate,
 };
 pub use stats::{CachedIndex, ColumnStatistics, StatsIndex};
 pub use table::{Column, Table, TableBuilder};

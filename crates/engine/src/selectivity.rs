@@ -1,8 +1,6 @@
 //! Selectivity estimation from column statistics — the optimizer-facing
 //! consumer that the paper's error analysis (Theorems 1 and 3) is about.
 
-use samplehist_core::estimate::RangeEstimator;
-
 use crate::predicate::Predicate;
 use crate::stats::ColumnStatistics;
 
@@ -219,49 +217,6 @@ pub fn estimate_cardinality_batch(
     }
 }
 
-/// The pre-index bisect path of [`estimate_cardinality`]: a fresh
-/// [`RangeEstimator`] (with its `O(k)` cumulative rebuild) per call plus
-/// binary searches over the raw separator/side-table slices.
-///
-/// Kept callable on purpose — the byte-identity tests pin
-/// [`estimate_cardinality`] against it, and the lookup benchmarks use it
-/// as the "scan" baseline the indexed route is gated against.
-pub fn estimate_cardinality_scan(
-    stats: &ColumnStatistics,
-    predicate: &Predicate,
-) -> CardinalityEstimate {
-    let n = stats.num_rows as f64;
-    let rows = match predicate.as_range() {
-        None => 0.0,
-        Some((lo, hi)) => match (&stats.compressed, predicate) {
-            (Some(c), Predicate::Eq(v)) => {
-                let h = &stats.histogram;
-                if *v < h.min_value() || *v > h.max_value() {
-                    0.0
-                } else if c.high_frequency_values().binary_search_by_key(v, |&(hv, _)| hv).is_ok() {
-                    c.estimate_eq(*v)
-                } else {
-                    c.estimate_eq(*v).max(stats.rows_per_distinct())
-                }
-            }
-            (Some(c), _) => c.estimate_range(lo, hi),
-            (None, Predicate::Eq(v)) => {
-                let h = &stats.histogram;
-                if *v < h.min_value() || *v > h.max_value() {
-                    0.0
-                } else {
-                    RangeEstimator::new(&stats.histogram)
-                        .estimate_range(lo, hi)
-                        .max(stats.rows_per_distinct())
-                }
-            }
-            (None, _) => RangeEstimator::new(&stats.histogram).estimate_range(lo, hi),
-        },
-    };
-    let rows = rows.clamp(0.0, n);
-    CardinalityEstimate { rows, selectivity: if n > 0.0 { rows / n } else { 0.0 } }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,53 +316,11 @@ mod tests {
     }
 
     #[test]
-    fn indexed_path_is_byte_identical_to_scan_path() {
+    fn batched_cardinality_is_byte_identical_to_scalar() {
         // Heavy-duplicate data so a compressed histogram (with a
         // non-empty side table) and the plain histogram both exist, and
-        // every predicate shape routes through every arm.
-        let mut values: Vec<i64> = (0..30_000).map(|i| (i * i) % 2003).collect();
-        values.extend(vec![777i64; 10_000]);
-        let mut rng = StdRng::seed_from_u64(31);
-        let t = Table::builder("t")
-            .column_with_blocking("c", values, 100, Layout::Random, &mut rng)
-            .build();
-        let plain = analyze(&t, "c", &AnalyzeOptions::full_scan(60), &mut rng).expect("exists");
-        let comp = analyze(&t, "c", &AnalyzeOptions::full_scan(60).with_compressed(), &mut rng)
-            .expect("exists");
-        assert!(!comp.compressed.as_ref().unwrap().high_frequency_values().is_empty());
-
-        let mut probes: Vec<Predicate> = Vec::new();
-        for i in 0..400i64 {
-            let x = (i * 131) % 2500 - 200;
-            probes.push(Predicate::Eq(x));
-            probes.push(Predicate::Le(x));
-            probes.push(Predicate::Gt(x));
-            probes.push(Predicate::Between { low: x, high: x + (i % 11) * 40 });
-        }
-        probes.push(Predicate::Eq(777));
-        probes.push(Predicate::Between { low: 9, high: 3 });
-        probes.push(Predicate::Le(i64::MAX));
-        probes.push(Predicate::Ge(i64::MIN));
-        for stats in [&plain, &comp] {
-            for p in &probes {
-                let fast = estimate_cardinality(stats, p);
-                let scan = estimate_cardinality_scan(stats, p);
-                assert_eq!(
-                    fast.rows.to_bits(),
-                    scan.rows.to_bits(),
-                    "{p}: indexed {} vs scan {}",
-                    fast.rows,
-                    scan.rows
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_cardinality_is_byte_identical_to_scalar() {
-        // Same data shape as the scan-identity test: both plain and
-        // compressed stats exist and every predicate shape hits every
-        // routing arm, including out-of-domain and unsatisfiable ones.
+        // every predicate shape hits every routing arm, including
+        // out-of-domain and unsatisfiable ones.
         let mut values: Vec<i64> = (0..30_000).map(|i| (i * i) % 2003).collect();
         values.extend(vec![777i64; 10_000]);
         let mut rng = StdRng::seed_from_u64(32);
@@ -417,6 +330,7 @@ mod tests {
         let plain = analyze(&t, "c", &AnalyzeOptions::full_scan(60), &mut rng).expect("exists");
         let comp = analyze(&t, "c", &AnalyzeOptions::full_scan(60).with_compressed(), &mut rng)
             .expect("exists");
+        assert!(!comp.compressed.as_ref().unwrap().high_frequency_values().is_empty());
         let mut probes: Vec<Predicate> = Vec::new();
         for i in 0..250i64 {
             let x = (i * 131) % 2500 - 200;

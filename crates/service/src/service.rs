@@ -615,8 +615,13 @@ impl StatsService {
     /// The read path shared by both estimators: bump access, serve the
     /// snapshot, queue a refresh on miss or suspicion.
     fn lookup(&self, table: &str, column: &str) -> Option<Arc<VersionedStats>> {
-        let entry = self.tables.read().expect("tables lock").get(table).cloned()?;
-        let accesses = entry.access.get(column)?.fetch_add(1, Ordering::Relaxed) + 1;
+        let Some(entry) = self.tables.read().expect("tables lock").get(table).cloned() else {
+            return self.unknown_name_miss();
+        };
+        let Some(access) = entry.access.get(column) else {
+            return self.unknown_name_miss();
+        };
+        let accesses = access.fetch_add(1, Ordering::Relaxed) + 1;
         let recorder = samplehist_obs::global();
         match self.catalog.get(table, column) {
             None => {
@@ -646,6 +651,14 @@ impl StatsService {
                 Some(snap)
             }
         }
+    }
+
+    /// A read naming an unregistered table or column: a miss, with no
+    /// refresh to queue.
+    fn unknown_name_miss(&self) -> Option<Arc<VersionedStats>> {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        samplehist_obs::global().counter("service.query.miss", 1);
+        None
     }
 
     fn request_refresh(

@@ -138,6 +138,34 @@ fn equijoin_serves_during_refresh_and_counts_misses() {
     assert!(join > 50_000.0 && join < 1_000_000.0, "implausible join estimate {join}");
 }
 
+#[test]
+fn every_read_counts_as_a_hit_or_a_miss() {
+    let svc = StatsService::new(ServiceConfig::deterministic(5));
+    svc.register_table(build_table("t", 5_000, 12), None);
+    let (mut estimates, mut batches, mut joins) = (0u64, 0u64, 0u64);
+    let mut read = |table: &str, column: &str| {
+        let _ = svc.estimate_cardinality(table, column, &Predicate::Le(10));
+        let _ =
+            svc.estimate_cardinality_batch(table, column, &[Predicate::Eq(3), Predicate::Gt(7)]);
+        let _ = svc.estimate_equijoin(table, column, "t", "skewed");
+        estimates += 1;
+        batches += 1;
+        joins += 1;
+    };
+    // Unknown table and unknown column: misses, and nothing to refresh
+    // (the join's registered side queues one build).
+    read("nope", "skewed");
+    read("t", "nope");
+    assert_eq!(svc.misses(), 8);
+    assert_eq!(svc.queue_depth(), 1, "only t.skewed is queued");
+    svc.drain(1);
+    read("t", "skewed");
+    read("t", "uniform");
+    read("nope", "uniform");
+    assert!(svc.hits() > 0);
+    assert_eq!(svc.hits() + svc.misses(), estimates + batches + 2 * joins);
+}
+
 /// One fully driven deterministic episode; returns the canonical dump.
 fn deterministic_episode(threads: usize) -> String {
     let config = ServiceConfig {

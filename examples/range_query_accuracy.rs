@@ -17,7 +17,7 @@ use rand::SeedableRng;
 use samplehist::core::bounds::range::max_bounded_envelope;
 use samplehist::core::error::max_error_against;
 use samplehist::core::estimate::evaluate_range_query;
-use samplehist::core::histogram::{EquiHeightHistogram, HistogramBuilder};
+use samplehist::core::histogram::{BucketIndex, EquiHeightHistogram, HistogramBuilder};
 use samplehist::data::DataSpec;
 
 fn main() {
@@ -65,6 +65,7 @@ fn main() {
     );
 
     // Fire random queries at both.
+    let (approx_index, strawman_index) = (BucketIndex::new(&approx), BucketIndex::new(&strawman));
     let queries = 5_000;
     let (mut worst_good, mut worst_bad, mut sum_good) = (0.0f64, 0.0f64, 0.0f64);
     let mut violations = 0u32;
@@ -73,8 +74,8 @@ fn main() {
         let a = sorted[0] + rng.gen_range(0..=span);
         let b = sorted[0] + rng.gen_range(0..=span);
         let (x, y) = (a.min(b), a.max(b));
-        let good = evaluate_range_query(&approx, &sorted, x, y);
-        let bad = evaluate_range_query(&strawman, &sorted, x, y);
+        let good = evaluate_range_query(&approx_index, &sorted, x, y);
+        let bad = evaluate_range_query(&strawman_index, &sorted, x, y);
         worst_good = worst_good.max(good.absolute);
         worst_bad = worst_bad.max(bad.absolute);
         sum_good += good.absolute;

@@ -7,8 +7,10 @@ use rand::SeedableRng;
 
 use samplehist::core::distinct::{all_estimators, FrequencyProfile};
 use samplehist::core::error::{fractional_max_error, max_error_against, summarize_counts};
-use samplehist::core::estimate::{true_range_count, RangeEstimator};
-use samplehist::core::histogram::{bucket_counts, CompressedHistogram, EquiHeightHistogram};
+use samplehist::core::estimate::true_range_count;
+use samplehist::core::histogram::{
+    bucket_counts, BucketIndex, CompressedHistogram, CompressedIndex, EquiHeightHistogram,
+};
 use samplehist::core::sampling::{self, cvb, CvbConfig, Schedule, SliceBlocks, ValidationMode};
 use samplehist::core::BlockSource;
 
@@ -68,7 +70,7 @@ proptest! {
     #[test]
     fn range_estimator_monotone(data in arbitrary_multiset(), k in 1usize..10) {
         let h = EquiHeightHistogram::from_sorted(&data, k);
-        let est = RangeEstimator::new(&h);
+        let est = BucketIndex::new(&h);
         let mut prev = 0.0f64;
         for t in -60..60i64 {
             let cur = est.estimate_le(t);
@@ -92,11 +94,12 @@ proptest! {
         let light = c.residual().map_or(0, |h| h.total());
         prop_assert_eq!(heavy + light, data.len() as u64);
         prop_assert!(c.buckets_used() <= k.max(1));
-        let whole = c.estimate_range(i64::MIN, i64::MAX);
+        let idx = CompressedIndex::new(&c);
+        let whole = idx.estimate_range(i64::MIN, i64::MAX);
         prop_assert!((whole - data.len() as f64).abs() < 1e-9);
         // Equality on a heavy value is exact.
         for &(v, cnt) in c.high_frequency_values() {
-            prop_assert_eq!(c.estimate_eq(v), cnt as f64);
+            prop_assert_eq!(idx.estimate_eq(v), cnt as f64);
         }
     }
 
