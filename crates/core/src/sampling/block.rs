@@ -87,34 +87,6 @@ impl BlockSource for SliceBlocks<'_> {
     }
 }
 
-/// The result of sampling `g` blocks: which blocks, and every tuple on
-/// them.
-#[derive(Debug, Clone)]
-pub struct BlockSample {
-    /// Indices of the sampled blocks, in the order drawn.
-    pub block_ids: Vec<usize>,
-    /// All tuples from the sampled blocks (unsorted).
-    pub values: Vec<i64>,
-}
-
-/// Draw `g` distinct blocks uniformly at random and collect their tuples.
-///
-/// # Panics
-/// If `g` exceeds the number of blocks.
-pub fn sample_blocks(source: &impl BlockSource, g: usize, rng: &mut impl Rng) -> BlockSample {
-    assert!(
-        g <= source.num_blocks(),
-        "cannot sample {g} of {} blocks without replacement",
-        source.num_blocks()
-    );
-    let block_ids: Vec<usize> = rand::seq::index::sample(rng, source.num_blocks(), g).into_vec();
-    let mut values = Vec::with_capacity((source.avg_tuples_per_block() * g as f64).ceil() as usize);
-    for &id in &block_ids {
-        values.extend_from_slice(source.block(id));
-    }
-    BlockSample { block_ids, values }
-}
-
 /// Incremental without-replacement block sampling: a random permutation of
 /// all block indices, consumed prefix by prefix. This is what the adaptive
 /// CVB algorithm uses — each round's "fresh" blocks are simply the next
@@ -162,6 +134,39 @@ impl BlockPermutation {
     }
 }
 
+/// Incremental without-replacement block sampling by a forward partial
+/// Fisher–Yates over `0..len`: draw `i` swaps position `i` of the pool
+/// with position `gen_range(i..len)`. The first `g` draws are exactly
+/// `rand::seq::index::sample(rng, len, g)`, and every further draw
+/// continues that same sequence — so a fixed-size block sample can replace
+/// pages that failed to read without disturbing the pages it already drew.
+/// Unlike [`BlockPermutation`], it spends RNG draws only on blocks actually
+/// drawn.
+#[derive(Debug, Clone)]
+pub struct BlockDraw {
+    pool: Vec<usize>,
+    drawn: usize,
+}
+
+impl BlockDraw {
+    /// Prepare to draw from `0..len`.
+    pub fn new(len: usize) -> Self {
+        Self { pool: (0..len).collect(), drawn: 0 }
+    }
+
+    /// Draw one further block, or `None` once all `len` have been drawn.
+    pub fn draw(&mut self, rng: &mut impl Rng) -> Option<usize> {
+        let i = self.drawn;
+        if i == self.pool.len() {
+            return None;
+        }
+        let j = rng.gen_range(i..self.pool.len());
+        self.pool.swap(i, j);
+        self.drawn += 1;
+        Some(self.pool[i])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,37 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_blocks_collects_whole_pages() {
-        let data: Vec<i64> = (0..100).collect();
-        let src = SliceBlocks::new(&data, 10);
-        let mut rng = StdRng::seed_from_u64(1);
-        let s = sample_blocks(&src, 3, &mut rng);
-        assert_eq!(s.block_ids.len(), 3);
-        assert_eq!(s.values.len(), 30);
-        // Every sampled tuple belongs to one of the sampled pages.
-        for &v in &s.values {
-            let page = (v / 10) as usize;
-            assert!(s.block_ids.contains(&page), "tuple {v} from unsampled page");
-        }
-        // Without replacement: distinct pages.
-        let mut ids = s.block_ids.clone();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 3);
-    }
-
-    #[test]
-    fn sample_all_blocks_is_full_scan() {
-        let data: Vec<i64> = (0..55).collect();
-        let src = SliceBlocks::new(&data, 10);
-        let mut rng = StdRng::seed_from_u64(2);
-        let s = sample_blocks(&src, 6, &mut rng);
-        let mut values = s.values;
-        values.sort_unstable();
-        assert_eq!(values, data);
-    }
-
-    #[test]
     fn permutation_covers_everything_once() {
         let data: Vec<i64> = (0..100).collect();
         let src = SliceBlocks::new(&data, 5); // 20 blocks
@@ -238,11 +212,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "without replacement")]
-    fn oversampling_blocks_rejected() {
-        let data: Vec<i64> = (0..10).collect();
-        let src = SliceBlocks::new(&data, 5);
-        let mut rng = StdRng::seed_from_u64(4);
-        let _ = sample_blocks(&src, 3, &mut rng);
+    fn block_draw_continues_index_sample() {
+        // Pinned against the index sample on both sides of its dense/sparse
+        // switch: every prefix matches one draw continued to the end.
+        for (len, mid) in [(40usize, 40usize), (40, 5), (1000, 900), (1000, 30)] {
+            let full = rand::seq::index::sample(&mut StdRng::seed_from_u64(9), len, len).into_vec();
+            for g in [0, 1, mid / 2, mid, len] {
+                let want = rand::seq::index::sample(&mut StdRng::seed_from_u64(9), len, g);
+                assert_eq!(want.into_vec(), full[..g], "index sample prefix {g} of {len}");
+            }
+            let mut rng = StdRng::seed_from_u64(9);
+            let mut draw = BlockDraw::new(len);
+            let drawn: Vec<usize> = std::iter::from_fn(|| draw.draw(&mut rng)).collect();
+            assert_eq!(drawn, full, "len {len}");
+            assert_eq!(draw.draw(&mut rng), None, "an exhausted draw yields nothing");
+        }
     }
 }

@@ -43,7 +43,7 @@ use rand::Rng;
 use samplehist_obs::Recorder;
 
 use super::block::{BlockPermutation, BlockSource};
-use super::fallible::{BlockError, TryBlockSource};
+use super::fallible::{BlockError, Reliable, TryBlockSource};
 use super::schedule::{Schedule, ScheduleContext};
 use crate::bounds::chaudhuri::corollary1_sample_size;
 use crate::error::fractional_max_error;
@@ -221,151 +221,17 @@ impl CvbResult {
 /// passes, the accumulated sample is used as-is; with the cap at 1.0 that
 /// degenerates to a full scan and an exact histogram.
 ///
+/// This is [`try_run`] over [`Reliable`]`(source)` with the default
+/// [`DegradationPolicy`]: a reliable source never fails a read, so the
+/// degradation machinery stays idle. Pass a recorder via
+/// [`try_run_traced`] to trace the run.
+///
 /// # Panics
 /// If the source is empty or the configuration is invalid.
 pub fn run(source: &impl BlockSource, config: &CvbConfig, rng: &mut impl Rng) -> CvbResult {
-    run_traced(source, config, rng, &samplehist_obs::global())
-}
-
-/// [`run`] with an explicit [`Recorder`]: emits a `cvb.run` span with one
-/// `cvb.round` child per doubling round carrying the adaptive loop's
-/// decision record — blocks drawn, accumulated sample size `r`, the
-/// cross-validation error Δ̂ against the target `f`, and the
-/// accept/reject verdict. Recording is passive (no RNG draws, no
-/// feedback), so the result is bit-identical to an untraced run.
-pub fn run_traced(
-    source: &impl BlockSource,
-    config: &CvbConfig,
-    rng: &mut impl Rng,
-    recorder: &Recorder,
-) -> CvbResult {
-    config.validate();
-    assert!(source.num_blocks() > 0, "cannot sample an empty source");
-    let n = source.num_tuples();
-    assert!(n > 0, "cannot sample a source with no tuples");
-
-    let max_blocks =
-        ((source.num_blocks() as f64 * config.max_block_fraction).ceil() as usize).max(1);
-    let b = source.avg_tuples_per_block();
-
-    let mut run_span = recorder.span("cvb.run");
-    run_span.field("n", n);
-    run_span.field("blocks", source.num_blocks());
-    run_span.field("buckets", config.buckets);
-    run_span.field("target_f", config.target_f);
-    run_span.field("max_blocks", max_blocks);
-
-    let mut permutation = BlockPermutation::new(source, rng);
-    let mut accumulated: Vec<i64> = Vec::new();
-    let mut rounds: Vec<CvbRound> = Vec::new();
-    let mut histogram: Option<EquiHeightHistogram> = None;
-    let mut converged = false;
-    let mut scratch = Scratch::default();
-
-    let mut round = 0usize;
-    while permutation.drawn() < max_blocks {
-        round += 1;
-        let ctx = ScheduleContext {
-            round,
-            blocks_so_far: permutation.drawn(),
-            tuples_so_far: accumulated.len() as u64,
-            total_tuples: n,
-            tuples_per_block: b,
-        };
-        let want = config.schedule.next_blocks(&ctx).min(max_blocks - permutation.drawn());
-        scratch.fresh_ids.clear();
-        scratch.fresh_ids.extend_from_slice(permutation.take(want));
-        if scratch.fresh_ids.is_empty() {
-            break;
-        }
-        let mut round_span = run_span.child("cvb.round");
-
-        // Collect and sort this round's tuples (buffer reused per round).
-        scratch.fresh.clear();
-        scratch.fresh.reserve((b * scratch.fresh_ids.len() as f64) as usize);
-        for &id in &scratch.fresh_ids {
-            scratch.fresh.extend_from_slice(source.block(id));
-        }
-        scratch.fresh.sort_unstable();
-
-        // Cross-validate the *current* histogram against the fresh sample
-        // (Definition 4's fractional error; reduces to Definition 1 when
-        // values are distinct).
-        let cv_error = histogram.as_ref().map(|h| {
-            let validation: &[i64] = match config.validation {
-                ValidationMode::AllTuples => &scratch.fresh,
-                ValidationMode::OneTuplePerBlock => {
-                    scratch.validation.clear();
-                    scratch.validation.extend(scratch.fresh_ids.iter().map(|&id| {
-                        let blk = source.block(id);
-                        blk[rng.gen_range(0..blk.len())]
-                    }));
-                    scratch.validation.sort_unstable();
-                    &scratch.validation
-                }
-            };
-            fractional_max_error(h.separators(), &accumulated, validation).max
-        });
-
-        // Merge (step 4c) into the scratch's other buffer, swap it in
-        // (double-buffer: no per-round allocation), and rebuild.
-        merge_sorted_into(&accumulated, &scratch.fresh, &mut scratch.merged);
-        std::mem::swap(&mut accumulated, &mut scratch.merged);
-        histogram = Some(EquiHeightHistogram::from_sorted_sample(&accumulated, config.buckets, n));
-
-        rounds.push(CvbRound {
-            round,
-            new_blocks: scratch.fresh_ids.len(),
-            total_blocks: permutation.drawn(),
-            total_tuples: accumulated.len() as u64,
-            cross_validation_error: cv_error,
-        });
-
-        // Step 5: terminate once validation passes.
-        let accepted = cv_error.is_some_and(|err| err < config.target_f);
-        round_span.field("round", round);
-        round_span.field("new_blocks", scratch.fresh_ids.len());
-        round_span.field("total_blocks", permutation.drawn());
-        round_span.field("r", accumulated.len());
-        round_span.field("target_f", config.target_f);
-        match cv_error {
-            // Round 1 has no histogram to validate; its verdict is that
-            // the loop must continue ("bootstrap").
-            None => round_span.field("verdict", "bootstrap"),
-            Some(err) => {
-                round_span.field("delta_hat", err);
-                round_span.field("verdict", if accepted { "accept" } else { "reject" });
-            }
-        }
-        round_span.finish();
-        if accepted {
-            converged = true;
-            break;
-        }
-    }
-
-    let exhausted = permutation.remaining() == 0;
-    let histogram = histogram.expect("at least one round ran");
-    let result = CvbResult {
-        histogram,
-        converged,
-        exhausted,
-        rounds_executed: rounds.len(),
-        terminated_early: converged && permutation.drawn() < max_blocks,
-        blocks_sampled: permutation.drawn(),
-        tuples_sampled: accumulated.len() as u64,
-        rounds,
-        sample_sorted: accumulated,
-    };
-    run_span.field("rounds", result.rounds_executed);
-    run_span.field("converged", result.converged);
-    run_span.field("exhausted", result.exhausted);
-    run_span.field("terminated_early", result.terminated_early);
-    run_span.field("blocks_sampled", result.blocks_sampled);
-    run_span.field("tuples_sampled", result.tuples_sampled);
-    run_span.field("oversampling_factor", result.oversampling_factor(config, n));
-    run_span.finish();
-    result
+    try_run(&Reliable(source), config, &DegradationPolicy::default(), rng)
+        .map(|(result, _)| result)
+        .expect("a reliable source never fails a read")
 }
 
 /// How much loss the degradation-aware [`try_run`] may absorb.
@@ -385,7 +251,10 @@ impl Default for DegradationPolicy {
 }
 
 /// What a degradation-aware run lost and what it can still certify.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// The default is the report of an acquisition that lost nothing and
+/// certifies no `f` — what a full scan or a fixed block sample reports.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DegradationReport {
     /// Blocks whose reads failed for good (after the storage layer's own
     /// retries) and therefore contributed no tuples.
@@ -406,13 +275,7 @@ pub struct DegradationReport {
 
 impl DegradationReport {
     fn clean(target_f: f64) -> Self {
-        Self {
-            blocks_failed: 0,
-            replacements_drawn: 0,
-            effective_target_f: target_f,
-            degraded: false,
-            last_error: None,
-        }
+        Self { effective_target_f: target_f, ..Self::default() }
     }
 }
 
@@ -451,9 +314,9 @@ impl std::error::Error for CvbError {}
 /// Failed blocks are skipped and replaced by drawing further down the
 /// permutation (up to `policy.replacement_budget` across the run); once
 /// replacements run out, rounds shrink and the acceptance threshold widens
-/// per Theorem 7 (see [`DegradationReport::effective_target_f`]). On a
-/// fault-free source the result is **bit-identical** to [`run`] with the
-/// same RNG seed.
+/// per Theorem 7 (see [`DegradationReport::effective_target_f`]). [`run`]
+/// is this loop over [`Reliable`], so on a fault-free source the result is
+/// the one [`run`] returns for the same data and RNG seed.
 ///
 /// Returns an error only when not a single block could be read.
 pub fn try_run(
@@ -465,11 +328,17 @@ pub fn try_run(
     try_run_traced(source, config, policy, rng, &samplehist_obs::global())
 }
 
-/// [`try_run`] with an explicit [`Recorder`]: emits the same `cvb.run` /
-/// `cvb.round` spans as [`run_traced`] plus the degradation record — a
-/// `cvb.blocks_failed` counter per lost block, per-round `failed` /
-/// `replaced` / `effective_f` fields, and run-level `blocks_failed` /
-/// `degraded` fields — so traces show exactly what was lost.
+/// [`try_run`] with an explicit [`Recorder`]: emits a `cvb.run` span with
+/// one `cvb.round` child per doubling round carrying the adaptive loop's
+/// decision record — blocks drawn, accumulated sample size `r`, the
+/// cross-validation error Δ̂ against the target `f`, and the accept/reject
+/// verdict. When a block fails, the trace also carries the degradation
+/// record — a `cvb.blocks_failed` counter per lost block, per-round
+/// `failed` / `replaced` / `effective_f` fields, and run-level
+/// `blocks_failed` / `replacements_drawn` / `degraded` / `effective_f`
+/// fields — so traces show exactly what was lost; a run that lost nothing
+/// carries none of them. Recording is passive (no RNG draws, no feedback),
+/// so the result is bit-identical to an untraced run.
 pub fn try_run_traced(
     source: &impl TryBlockSource,
     config: &CvbConfig,
@@ -499,9 +368,8 @@ pub fn try_run_traced(
     let mut histogram: Option<EquiHeightHistogram> = None;
     let mut converged = false;
     let mut scratch = Scratch::default();
-    // Byte ranges of each successful block within the (unsorted) fresh
-    // buffer, in draw order — what one-tuple-per-block validation picks
-    // from now that failed blocks make "re-read the page" unreliable.
+    // Where each readable block's tuples sit in the (unsorted) fresh
+    // buffer, in draw order: what one-tuple-per-block validation picks from.
     let mut fresh_spans: Vec<(usize, usize)> = Vec::new();
 
     let mut report = DegradationReport::clean(config.target_f);
@@ -551,12 +419,10 @@ pub fn try_run_traced(
                     if report.replacements_drawn < policy.replacement_budget
                         && permutation.drawn() < max_blocks
                     {
-                        let extra = permutation.take(1);
-                        if let Some(&replacement) = extra.first() {
-                            report.replacements_drawn += 1;
-                            replaced_this_round += 1;
-                            scratch.fresh_ids.push(replacement);
-                        }
+                        let replacement = permutation.take(1)[0];
+                        report.replacements_drawn += 1;
+                        replaced_this_round += 1;
+                        scratch.fresh_ids.push(replacement);
                     }
                 }
             }
@@ -590,31 +456,26 @@ pub fn try_run_traced(
             continue;
         }
 
-        // Cross-validate before sorting: one-tuple-per-block picks need the
-        // per-block layout of the fresh buffer.
-        let cv_error = histogram.as_ref().map(|h| {
-            let validation: &[i64] = match config.validation {
-                ValidationMode::AllTuples => {
-                    scratch.fresh.sort_unstable();
-                    &scratch.fresh
-                }
-                ValidationMode::OneTuplePerBlock => {
-                    scratch.validation.clear();
-                    scratch.validation.extend(
-                        fresh_spans
-                            .iter()
-                            .map(|&(start, len)| scratch.fresh[start + rng.gen_range(0..len)]),
-                    );
-                    scratch.validation.sort_unstable();
-                    scratch.fresh.sort_unstable();
-                    &scratch.validation
-                }
-            };
-            fractional_max_error(h.separators(), &accumulated, validation).max
-        });
-        if cv_error.is_none() {
-            scratch.fresh.sort_unstable();
+        // One-tuple-per-block picks need the per-block layout of the fresh
+        // buffer, so they are taken before it is sorted.
+        let one_per_block = config.validation == ValidationMode::OneTuplePerBlock;
+        if one_per_block && histogram.is_some() {
+            scratch.validation.clear();
+            scratch.validation.extend(
+                fresh_spans
+                    .iter()
+                    .map(|&(start, len)| scratch.fresh[start + rng.gen_range(0..len)]),
+            );
+            scratch.validation.sort_unstable();
         }
+        scratch.fresh.sort_unstable();
+        let validation = if one_per_block { &scratch.validation } else { &scratch.fresh };
+        // Cross-validate the current histogram against the fresh sample
+        // (Definition 4's fractional error; reduces to Definition 1 when
+        // values are distinct), before the fresh sample is merged in.
+        let cv_error = histogram
+            .as_ref()
+            .map(|h| fractional_max_error(h.separators(), &accumulated, validation).max);
 
         merge_sorted_into(&accumulated, &scratch.fresh, &mut scratch.merged);
         std::mem::swap(&mut accumulated, &mut scratch.merged);
@@ -689,16 +550,18 @@ pub fn try_run_traced(
     run_span.field("blocks_sampled", result.blocks_sampled);
     run_span.field("tuples_sampled", result.tuples_sampled);
     run_span.field("oversampling_factor", result.oversampling_factor(config, n));
-    run_span.field("blocks_failed", report.blocks_failed);
-    run_span.field("replacements_drawn", report.replacements_drawn);
-    run_span.field("degraded", report.degraded);
-    run_span.field("effective_f", report.effective_target_f);
+    if report.degraded {
+        run_span.field("blocks_failed", report.blocks_failed);
+        run_span.field("replacements_drawn", report.replacements_drawn);
+        run_span.field("degraded", report.degraded);
+        run_span.field("effective_f", report.effective_target_f);
+    }
     run_span.finish();
     Ok((result, report))
 }
 
 /// Reusable per-round buffers for the adaptive loop. Without these, every
-/// round of [`run`] allocated four vectors (the drawn block ids, the fresh
+/// round of [`try_run`] allocated four vectors (the drawn block ids, the fresh
 /// tuple batch, the one-tuple-per-block validation set, and the merged
 /// accumulated sample); with the doubling schedule that is `O(r)` churn per
 /// round on a sample that only grows. The `merged` buffer double-buffers
@@ -954,7 +817,6 @@ mod tests {
 
     // ---- degradation-aware path -------------------------------------
 
-    use super::super::fallible::Reliable;
     use std::borrow::Cow;
 
     /// A block source that permanently fails every block whose index
@@ -977,38 +839,6 @@ mod tests {
             } else {
                 Ok(Cow::Borrowed(self.inner.block(index)))
             }
-        }
-    }
-
-    #[test]
-    fn fault_free_try_run_is_bit_identical_to_run() {
-        let data = shuffled(60_000, 61);
-        let src = SliceBlocks::new(&data, 100);
-        for validation in [ValidationMode::AllTuples, ValidationMode::OneTuplePerBlock] {
-            let config = CvbConfig {
-                buckets: 20,
-                target_f: 0.2,
-                gamma: 0.05,
-                schedule: Schedule::Doubling { initial_blocks: 30 },
-                validation,
-                max_block_fraction: 1.0,
-            };
-            let baseline = run(&src, &config, &mut StdRng::seed_from_u64(67));
-            let (resilient, report) = try_run(
-                &Reliable(src),
-                &config,
-                &DegradationPolicy::default(),
-                &mut StdRng::seed_from_u64(67),
-            )
-            .expect("fault-free source is readable");
-            assert_eq!(resilient.histogram, baseline.histogram);
-            assert_eq!(resilient.sample_sorted, baseline.sample_sorted);
-            assert_eq!(resilient.rounds, baseline.rounds);
-            assert_eq!(resilient.converged, baseline.converged);
-            assert_eq!(resilient.blocks_sampled, baseline.blocks_sampled);
-            assert!(!report.degraded);
-            assert_eq!(report.blocks_failed, 0);
-            assert_eq!(report.effective_target_f, config.target_f);
         }
     }
 

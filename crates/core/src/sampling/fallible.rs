@@ -17,8 +17,9 @@
 //!
 //! Fault-free sources are adapted via [`Reliable`], so every existing
 //! [`BlockSource`] (heap files, slices) runs through the degradation-aware
-//! paths unchanged — and, with no faults to degrade around, produces
-//! bit-identical results to the infallible paths.
+//! paths unchanged. That is how the infallible entry points are built:
+//! `cvb::run` and ANALYZE over a heap file are the degradation-aware code
+//! over [`Reliable`], with no faults to degrade around.
 
 use std::borrow::Cow;
 

@@ -28,7 +28,7 @@ pub mod record;
 pub mod reservoir;
 pub mod schedule;
 
-pub use block::{sample_blocks, BlockPermutation, BlockSample, BlockSource, SliceBlocks};
+pub use block::{BlockDraw, BlockPermutation, BlockSource, SliceBlocks};
 pub use cvb::{
     CvbConfig, CvbError, CvbResult, CvbRound, DegradationPolicy, DegradationReport, ValidationMode,
 };

@@ -8,7 +8,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use samplehist_core::histogram::EquiHeightHistogram;
-use samplehist_core::sampling::{cvb, CvbConfig, SliceBlocks};
+use samplehist_core::sampling::{
+    cvb, CvbConfig, CvbResult, DegradationPolicy, Reliable, SliceBlocks,
+};
 use samplehist_obs::{Event, MemorySink, PromSink, Recorder, Value};
 
 fn shuffled(n: i64, seed: u64) -> Vec<i64> {
@@ -16,6 +18,20 @@ fn shuffled(n: i64, seed: u64) -> Vec<i64> {
     let mut rng = StdRng::seed_from_u64(seed);
     data.shuffle(&mut rng);
     data
+}
+
+/// A traced CVB run over a source whose reads never fail.
+fn traced_cvb(
+    source: &SliceBlocks,
+    config: &CvbConfig,
+    rng: &mut StdRng,
+    recorder: &Recorder,
+) -> CvbResult {
+    let policy = DegradationPolicy::default();
+    let (result, report) = cvb::try_run_traced(&Reliable(source), config, &policy, rng, recorder)
+        .expect("a reliable source never fails a read");
+    assert!(!report.degraded);
+    result
 }
 
 fn field<'a>(fields: &'a [(&'static str, Value)], key: &str) -> Option<&'a Value> {
@@ -48,7 +64,7 @@ fn cvb_trace_has_one_round_span_per_round() {
     let sink = Arc::new(MemorySink::new());
     let recorder = Recorder::new(sink.clone());
     let mut rng = StdRng::seed_from_u64(11);
-    let result = cvb::run_traced(&source, &config, &mut rng, &recorder);
+    let result = traced_cvb(&source, &config, &mut rng, &recorder);
 
     let events = sink.events();
     let round_fields: Vec<_> = events
@@ -77,6 +93,9 @@ fn cvb_trace_has_one_round_span_per_round() {
             assert!(matches!(verdict, "accept" | "reject"), "verdict was {verdict:?}");
             assert!(field(fields, "delta_hat").is_some(), "validated rounds report Δ̂");
         }
+        for key in ["failed", "replaced", "effective_f"] {
+            assert!(field(fields, key).is_none(), "a round that lost nothing carries {key:?}");
+        }
         // Only the last round may accept.
         let is_last = i + 1 == round_fields.len();
         assert_eq!(verdict == "accept", is_last && result.converged);
@@ -96,6 +115,9 @@ fn cvb_trace_has_one_round_span_per_round() {
     assert_eq!(field(run, "converged"), Some(&Value::Bool(result.converged)));
     assert_eq!(field(run, "terminated_early"), Some(&Value::Bool(result.terminated_early)));
     assert_eq!(as_u64(field(run, "blocks_sampled")) as usize, result.blocks_sampled);
+    for key in ["blocks_failed", "replacements_drawn", "degraded", "effective_f"] {
+        assert!(field(run, key).is_none(), "a run that lost nothing carries {key:?}");
+    }
 }
 
 /// Round spans nest under the run span (the trace is a tree).
@@ -107,7 +129,7 @@ fn cvb_round_spans_are_children_of_the_run_span() {
     let sink = Arc::new(MemorySink::new());
     let recorder = Recorder::new(sink.clone());
     let mut rng = StdRng::seed_from_u64(19);
-    let _ = cvb::run_traced(&source, &config, &mut rng, &recorder);
+    let _ = traced_cvb(&source, &config, &mut rng, &recorder);
 
     let events = sink.events();
     let run_id = events
@@ -143,7 +165,7 @@ fn enabling_a_recorder_never_changes_results() {
     samplehist_parallel::par_sort_unstable_threads(1, &mut sorted_bare);
     let hist_bare = EquiHeightHistogram::from_unsorted(data.clone(), 50);
     let mut rng = StdRng::seed_from_u64(21);
-    let cvb_bare = cvb::run_traced(&source, &config, &mut rng, &Recorder::disabled());
+    let cvb_bare = traced_cvb(&source, &config, &mut rng, &Recorder::disabled());
 
     // Install the global recorder and redo everything, traced.
     let memory = Arc::new(MemorySink::new());
@@ -160,7 +182,7 @@ fn enabling_a_recorder_never_changes_results() {
     assert_eq!(hist_traced, hist_bare, "traced radix construction must be byte-identical");
 
     let mut rng = StdRng::seed_from_u64(21);
-    let cvb_traced = cvb::run_traced(&source, &config, &mut rng, &recorder);
+    let cvb_traced = traced_cvb(&source, &config, &mut rng, &recorder);
     assert_eq!(cvb_traced.histogram, cvb_bare.histogram);
     assert_eq!(cvb_traced.sample_sorted, cvb_bare.sample_sorted);
     assert_eq!(cvb_traced.rounds_executed, cvb_bare.rounds_executed);

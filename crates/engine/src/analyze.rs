@@ -7,11 +7,10 @@ use samplehist_core::distinct::{DistinctEstimator, FrequencyProfile, Gee};
 use samplehist_core::estimate::duplication_density_from_profile;
 use samplehist_core::histogram::{selection_profitable, CompressedHistogram, EquiHeightHistogram};
 use samplehist_core::sampling::{
-    cvb, BlockPermutation, CvbConfig, CvbError, DegradationPolicy, DegradationReport, Schedule,
+    cvb, BlockDraw, CvbConfig, CvbError, DegradationPolicy, DegradationReport, Reliable, Schedule,
     TryBlockSource, ValidationMode,
 };
-use samplehist_core::BlockSource;
-use samplehist_storage::{BlockSampler, IoStats, RecordSampler};
+use samplehist_storage::{read_pages, IoStats, PageReads, RecordSampler};
 
 use crate::stats::ColumnStatistics;
 use crate::table::Table;
@@ -161,6 +160,10 @@ pub fn analyze(
 /// call [`analyze`]) for an untraced run — results are bit-identical
 /// either way, since recording never touches the RNG stream.
 ///
+/// The page-granular modes run [`analyze_resilient`]'s acquisition over
+/// [`Reliable`]`(file)`, whose reads never fail; only row sampling, which
+/// addresses single tuples of the heap file, is acquired here.
+///
 /// # Panics
 /// On invalid options (zero buckets, rates outside (0,1], bad f/γ).
 pub fn analyze_traced(
@@ -177,97 +180,48 @@ pub fn analyze_traced(
     })?;
     let file = col.file();
     let n = file.num_tuples();
-
-    let mut root = recorder.span("analyze");
-    root.field("table", table.name().to_string());
-    root.field("column", column.to_string());
-    root.field("rows", n);
-    root.field("pages", file.num_pages());
-    root.field("buckets", options.buckets);
-
-    // Acquire the tuples statistics are computed from, plus the I/O bill,
-    // whether they are the whole column, and whether the acquisition
-    // already produced them sorted (CVB merges sorted rounds; everything
-    // else yields storage order).
+    let mut root = open_root(recorder, table.name(), column, n, file.num_pages(), options.buckets);
     let mut acquire = root.child("analyze.acquire");
-    let (sample, io, method, is_full, presorted) = match options.mode {
-        AnalyzeMode::FullScan => {
-            acquire.field("mode", "full_scan");
-            let mut io = IoStats::new();
-            let mut values = Vec::with_capacity(n as usize);
-            for p in 0..file.num_pages() {
-                let page = file.block(p);
-                io.charge_page(page.len());
-                values.extend_from_slice(page);
-            }
-            // A scan reads every page in storage order: all sequential
-            // after the first fetch. Reported here because the scan reads
-            // blocks directly rather than via a metered sampler.
-            if recorder.is_enabled() && io.pages_read > 0 {
-                recorder.counter("storage.pages_read", io.pages_read);
-                recorder.counter("storage.tuples_read", io.tuples_read);
-                recorder.counter("storage.bytes_read", io.tuples_read * 8);
-                recorder.counter("storage.pages_sequential", io.pages_read - 1);
-                recorder.counter("storage.pages_random", 1);
-            }
-            (values, io, "full scan".to_string(), true, false)
-        }
-        AnalyzeMode::RowSample { rate } => {
-            assert!(rate > 0.0 && rate <= 1.0, "row-sampling rate must be in (0,1]");
-            acquire.field("mode", "row_sample");
-            acquire.field("rate", rate);
-            let r = ((n as f64 * rate).ceil() as usize).max(1);
-            let mut sampler = RecordSampler::with_recorder(recorder.clone());
-            let values = sampler.sample(file, r, rng);
-            (values, sampler.io(), format!("row sample {:.2}%", rate * 100.0), false, false)
-        }
-        AnalyzeMode::BlockSample { rate } => {
-            assert!(rate > 0.0 && rate <= 1.0, "block-sampling rate must be in (0,1]");
-            acquire.field("mode", "block_sample");
-            acquire.field("rate", rate);
-            let g = ((file.num_pages() as f64 * rate).ceil() as usize).clamp(1, file.num_pages());
-            let mut sampler = BlockSampler::with_recorder(recorder.clone());
-            let values = sampler.sample(file, g, rng);
-            let full = g == file.num_pages();
-            (values, sampler.io(), format!("block sample {:.2}%", rate * 100.0), full, false)
-        }
-        AnalyzeMode::Adaptive { target_f, gamma } => {
-            acquire.field("mode", "adaptive");
-            acquire.field("target_f", target_f);
-            let b = file.avg_tuples_per_block().max(1.0);
-            let initial_blocks =
-                (((5.0 * (n as f64).sqrt()) / b).ceil() as usize).clamp(1, file.num_pages());
-            let config = CvbConfig {
-                buckets: options.buckets,
-                target_f,
-                gamma,
-                schedule: Schedule::Doubling { initial_blocks },
-                validation: ValidationMode::AllTuples,
-                max_block_fraction: 1.0,
-            };
-            let result = cvb::run_traced(file, &config, rng, recorder);
-            let io = IoStats {
-                pages_read: result.blocks_sampled as u64,
-                tuples_read: result.tuples_sampled,
-            };
-            let method = format!(
-                "adaptive CVB (f={target_f}, {} rounds, {})",
-                result.rounds.len(),
-                if result.converged { "converged" } else { "exhausted" }
-            );
-            (result.sample_sorted, io, method, result.exhausted, true)
-        }
+    let acquisition = if let AnalyzeMode::RowSample { rate } = options.mode {
+        acquire.field("mode", "row_sample");
+        acquire.field("rate", rate);
+        assert!(rate > 0.0 && rate <= 1.0, "row-sampling rate must be in (0,1]");
+        let r = ((n as f64 * rate).ceil() as usize).max(1);
+        let mut sampler = RecordSampler::with_recorder(recorder.clone());
+        let sample = sampler.sample(file, r, rng);
+        let method = format!("row sample {:.2}%", rate * 100.0);
+        Acquisition { sample, io: sampler.io(), method, is_full: false, presorted: false }
+    } else {
+        let policy = DegradationPolicy::default();
+        acquire_pages(&Reliable(file), options, &policy, rng, recorder, &mut acquire)
+            .expect("a heap file's pages always read")
+            .0
     };
-    acquire.field("pages_read", io.pages_read);
-    acquire.field("tuples_read", io.tuples_read);
-    acquire.field("sampling_rate", io.tuples_read as f64 / (n.max(1)) as f64);
-    acquire.finish();
-
-    let acquisition = Acquisition { sample, io, method, is_full, presorted };
-    Ok(finish_statistics(table.name(), column, n, options, acquisition, &mut root))
+    Ok(finish_statistics(table.name(), column, n, options, acquisition, acquire, &mut root))
 }
 
-/// What an acquisition phase hands to the statistics builder.
+/// Open the root `analyze` span, labelled with the target and its shape.
+fn open_root(
+    recorder: &Recorder,
+    table: &str,
+    column: &str,
+    rows: u64,
+    pages: usize,
+    buckets: usize,
+) -> Span {
+    let mut root = recorder.span("analyze");
+    root.field("table", table.to_string());
+    root.field("column", column.to_string());
+    root.field("rows", rows);
+    root.field("pages", pages);
+    root.field("buckets", buckets);
+    root
+}
+
+/// What an acquisition phase hands to the statistics builder: the tuples
+/// statistics are computed from, the I/O bill, whether they are the whole
+/// column, and whether the acquisition already produced them sorted (CVB
+/// merges sorted rounds; everything else yields storage order).
 struct Acquisition {
     sample: Vec<i64>,
     io: IoStats,
@@ -276,19 +230,25 @@ struct Acquisition {
     presorted: bool,
 }
 
-/// The mode-independent back half of ANALYZE: sort routing, histogram and
+/// The mode-independent back half of ANALYZE: closing the `acquire` span
+/// with the I/O bill, then sort routing, histogram and
 /// compressed-histogram construction, density and distinct estimation —
-/// shared between [`analyze_traced`] and [`analyze_resilient_traced`] so
-/// the degraded path builds statistics exactly like the clean one.
+/// shared by every mode, so a degraded acquisition builds statistics
+/// exactly like a clean one.
 fn finish_statistics(
     table: &str,
     column: &str,
     n: u64,
     options: &AnalyzeOptions,
     acquisition: Acquisition,
+    mut acquire: Span,
     root: &mut Span,
 ) -> ColumnStatistics {
     let Acquisition { mut sample, io, method, is_full, presorted } = acquisition;
+    acquire.field("pages_read", io.pages_read);
+    acquire.field("tuples_read", io.tuples_read);
+    acquire.field("sampling_rate", io.tuples_read as f64 / (n.max(1)) as f64);
+    acquire.finish();
 
     // Decide whether the full sort can be skipped: CVB hands back an
     // already-sorted sample, and for everything else the radix
@@ -389,7 +349,7 @@ pub struct ResilientStatistics {
 
 /// [`analyze`] against storage whose reads can fail.
 ///
-/// Runs the same acquisition modes over a [`TryBlockSource`] (a
+/// Runs the page-granular acquisition modes over a [`TryBlockSource`] (a
 /// fault-injecting wrapper, a retrying wrapper, or any future real I/O
 /// backend), skipping pages that fail for good, replacing them from
 /// undrawn pages up to `policy.replacement_budget`, and degrading
@@ -404,8 +364,10 @@ pub struct ResilientStatistics {
 ///
 /// Determinism: with the same fault schedule and the same `rng` seed, the
 /// result — and the emitted trace, timestamps aside — is bit-identical
-/// across runs. On fault-free storage the statistics equal what
-/// [`analyze`] produces for the same seed in adaptive mode.
+/// across runs. [`analyze`] runs this same acquisition over a heap file
+/// that never fails a read, so on fault-free storage the statistics equal
+/// what [`analyze`] produces for the same seed in every page-granular
+/// mode: full scan, block sample and adaptive.
 ///
 /// # Panics
 /// On invalid options (zero buckets, rates outside (0,1], bad f/γ).
@@ -420,12 +382,12 @@ pub fn analyze_resilient(
     analyze_resilient_traced(table, column, source, options, policy, rng, &samplehist_obs::global())
 }
 
-/// [`analyze_resilient`] with an explicit [`Recorder`]: same span tree as
-/// [`analyze_traced`] plus the degradation record — `analyze.blocks_failed`
-/// counters as pages are lost, a root-span `degraded` field, and one
-/// `analyze.degraded` counter per degraded run, so fleets can alert on the
-/// rate of lossy ANALYZE runs.
-#[allow(clippy::too_many_arguments)]
+/// [`analyze_resilient`] with an explicit [`Recorder`]: the span tree of
+/// [`analyze_traced`], a root-span `resilient` field, and the degradation
+/// record — `analyze.blocks_failed` counters as pages are lost and, on a
+/// run that lost any, root-span `degraded` / `blocks_failed` fields plus
+/// one `analyze.degraded` counter, so fleets can alert on the rate of
+/// lossy ANALYZE runs.
 pub fn analyze_resilient_traced(
     table: &str,
     column: &str,
@@ -436,122 +398,80 @@ pub fn analyze_resilient_traced(
     recorder: &Recorder,
 ) -> Result<ResilientStatistics, AnalyzeError> {
     assert!(options.buckets > 0, "need at least one bucket");
+    if let AnalyzeMode::RowSample { .. } = options.mode {
+        return Err(AnalyzeError::UnsupportedMode { mode: "row_sample" });
+    }
+    let n = source.num_tuples();
+    let mut root = open_root(recorder, table, column, n, source.num_blocks(), options.buckets);
+    root.field("resilient", true);
+    let mut acquire = root.child("analyze.acquire");
+    let (acquisition, degradation) =
+        acquire_pages(source, options, policy, rng, recorder, &mut acquire).map_err(
+            |blocks_tried| AnalyzeError::TableUnreadable {
+                table: table.to_string(),
+                column: column.to_string(),
+                blocks_tried,
+            },
+        )?;
+    if degradation.degraded {
+        recorder.counter("analyze.degraded", 1);
+        root.field("degraded", true);
+        root.field("blocks_failed", degradation.blocks_failed);
+    }
+    let stats = finish_statistics(table, column, n, options, acquisition, acquire, &mut root);
+    Ok(ResilientStatistics { stats, degradation })
+}
+
+/// The one page-granular acquisition behind [`analyze_traced`] (over a
+/// heap file that never fails a read) and [`analyze_resilient_traced`]:
+/// full scan, block sample or adaptive CVB over `source`. Fails with the
+/// number of pages tried when not one of them was readable.
+fn acquire_pages(
+    source: &impl TryBlockSource,
+    options: &AnalyzeOptions,
+    policy: &DegradationPolicy,
+    rng: &mut impl Rng,
+    recorder: &Recorder,
+    acquire: &mut Span,
+) -> Result<(Acquisition, DegradationReport), usize> {
     let n = source.num_tuples();
     let pages = source.num_blocks();
-    let unreadable = |blocks_tried: usize| AnalyzeError::TableUnreadable {
-        table: table.to_string(),
-        column: column.to_string(),
-        blocks_tried,
-    };
-
-    let mut root = recorder.span("analyze");
-    root.field("table", table.to_string());
-    root.field("column", column.to_string());
-    root.field("rows", n);
-    root.field("pages", pages);
-    root.field("buckets", options.buckets);
-    root.field("resilient", true);
-
-    let mut acquire = root.child("analyze.acquire");
-    let (acquisition, degradation) = match options.mode {
-        AnalyzeMode::RowSample { .. } => {
-            return Err(AnalyzeError::UnsupportedMode { mode: "row_sample" })
-        }
+    let budget = policy.replacement_budget;
+    let (reads, method, is_full) = match options.mode {
+        AnalyzeMode::RowSample { .. } => unreachable!("row sampling needs tuple addressing"),
         AnalyzeMode::FullScan => {
             acquire.field("mode", "full_scan");
-            let mut io = IoStats::new();
-            let mut values = Vec::with_capacity(n as usize);
-            let mut blocks_failed = 0usize;
-            let mut last_error = None;
-            for p in 0..pages {
-                match source.try_block(p) {
-                    Ok(page) => {
-                        io.charge_page(page.len());
-                        values.extend_from_slice(&page);
-                    }
-                    Err(err) => {
-                        blocks_failed += 1;
-                        last_error = Some(err);
-                        recorder.counter("analyze.blocks_failed", 1);
-                    }
-                }
-            }
-            if values.is_empty() {
-                return Err(unreadable(pages));
-            }
-            let is_full = blocks_failed == 0;
-            let method = if is_full {
+            let span = acquire.child("storage.read");
+            let reads = read_pages(source, 0..pages, pages, budget, recorder, span, "full_scan");
+            let lost = reads.report.blocks_failed;
+            let method = if lost == 0 {
                 "full scan".to_string()
             } else {
-                format!("degraded scan ({blocks_failed} of {pages} pages lost)")
+                format!("degraded scan ({lost} of {pages} pages lost)")
             };
-            let degradation = DegradationReport {
-                blocks_failed,
-                replacements_drawn: 0,
-                effective_target_f: 0.0,
-                degraded: !is_full,
-                last_error,
-            };
-            (Acquisition { sample: values, io, method, is_full, presorted: false }, degradation)
+            (reads, method, lost == 0)
         }
         AnalyzeMode::BlockSample { rate } => {
             assert!(rate > 0.0 && rate <= 1.0, "block-sampling rate must be in (0,1]");
             acquire.field("mode", "block_sample");
             acquire.field("rate", rate);
             let g = ((pages as f64 * rate).ceil() as usize).clamp(1, pages);
-            let mut permutation = BlockPermutation::with_len(pages, rng);
-            let mut io = IoStats::new();
-            let mut values = Vec::new();
-            let mut kept = 0usize;
-            let mut blocks_failed = 0usize;
-            let mut replacements_drawn = 0usize;
-            let mut last_error = None;
-            let mut want = g;
-            while want > 0 {
-                let ids: Vec<usize> = permutation.take(want).to_vec();
-                if ids.is_empty() {
-                    break;
-                }
-                want = 0;
-                for id in ids {
-                    match source.try_block(id) {
-                        Ok(page) => {
-                            io.charge_page(page.len());
-                            values.extend_from_slice(&page);
-                            kept += 1;
-                        }
-                        Err(err) => {
-                            blocks_failed += 1;
-                            last_error = Some(err);
-                            recorder.counter("analyze.blocks_failed", 1);
-                            if replacements_drawn < policy.replacement_budget {
-                                replacements_drawn += 1;
-                                want += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            if values.is_empty() {
-                return Err(unreadable(permutation.drawn()));
-            }
-            let is_full = kept == pages;
-            let method = if blocks_failed == 0 {
+            // `BlockSampler::sample`'s draw, continued for replacements.
+            let mut draw = BlockDraw::new(pages);
+            let candidates = std::iter::from_fn(|| draw.draw(rng));
+            let span = acquire.child("storage.read");
+            let reads = read_pages(source, candidates, g, budget, recorder, span, "block_sample");
+            let (lost, replaced) = (reads.report.blocks_failed, reads.report.replacements_drawn);
+            let method = if lost == 0 {
                 format!("block sample {:.2}%", rate * 100.0)
             } else {
                 format!(
-                    "degraded block sample {:.2}% ({blocks_failed} pages lost, {replacements_drawn} replaced)",
+                    "degraded block sample {:.2}% ({lost} pages lost, {replaced} replaced)",
                     rate * 100.0
                 )
             };
-            let degradation = DegradationReport {
-                blocks_failed,
-                replacements_drawn,
-                effective_target_f: 0.0,
-                degraded: blocks_failed > 0,
-                last_error,
-            };
-            (Acquisition { sample: values, io, method, is_full, presorted: false }, degradation)
+            let is_full = reads.io.pages_read == pages as u64;
+            (reads, method, is_full)
         }
         AnalyzeMode::Adaptive { target_f, gamma } => {
             acquire.field("mode", "adaptive");
@@ -568,9 +488,7 @@ pub fn analyze_resilient_traced(
                 max_block_fraction: 1.0,
             };
             let (result, report) = cvb::try_run_traced(source, &config, policy, rng, recorder)
-                .map_err(|CvbError::SourceUnreadable { blocks_tried, .. }| {
-                    unreadable(blocks_tried)
-                })?;
+                .map_err(|CvbError::SourceUnreadable { blocks_tried, .. }| blocks_tried)?;
             let io = IoStats {
                 pages_read: (result.blocks_sampled - report.blocks_failed) as u64,
                 tuples_read: result.tuples_sampled,
@@ -588,25 +506,16 @@ pub fn analyze_resilient_traced(
             // A degraded "full" walk read every page but lost some: the
             // sample is not the relation, so the histogram must stay scaled.
             let is_full = result.exhausted && !report.degraded;
-            (
-                Acquisition { sample: result.sample_sorted, io, method, is_full, presorted: true },
-                report,
-            )
+            let sample = result.sample_sorted;
+            let acquisition = Acquisition { sample, io, method, is_full, presorted: true };
+            return Ok((acquisition, report));
         }
     };
-    acquire.field("pages_read", acquisition.io.pages_read);
-    acquire.field("tuples_read", acquisition.io.tuples_read);
-    acquire.field("sampling_rate", acquisition.io.tuples_read as f64 / (n.max(1)) as f64);
-    acquire.finish();
-
-    if degradation.degraded {
-        recorder.counter("analyze.degraded", 1);
+    let PageReads { values: sample, io, report } = reads;
+    if sample.is_empty() {
+        return Err(io.pages_read as usize + report.blocks_failed);
     }
-    root.field("degraded", degradation.degraded);
-    root.field("blocks_failed", degradation.blocks_failed);
-
-    let stats = finish_statistics(table, column, n, options, acquisition, &mut root);
-    Ok(ResilientStatistics { stats, degradation })
+    Ok((Acquisition { sample, io, method, is_full, presorted: false }, report))
 }
 
 #[cfg(test)]

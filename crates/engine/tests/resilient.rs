@@ -102,27 +102,40 @@ fn seeded_fault_injection_is_bit_reproducible() {
     assert_ne!(a, c, "a different fault schedule must be observable");
 }
 
+/// `analyze` is the resilient acquisition over a heap file that never
+/// fails a read, so on healthy storage the two agree in every
+/// page-granular mode — statistics, I/O bill and method string.
 #[test]
-fn resilient_adaptive_on_healthy_storage_matches_plain_analyze() {
+fn resilient_on_healthy_storage_matches_plain_analyze() {
     let table = orders_table(11);
-    let opts = adaptive_opts();
-    let mut rng = StdRng::seed_from_u64(13);
-    let plain = analyze(&table, "amount", &opts, &mut rng).expect("column exists");
+    for mode in [
+        AnalyzeMode::FullScan,
+        AnalyzeMode::BlockSample { rate: 0.1 },
+        AnalyzeMode::BlockSample { rate: 0.5 },
+        AnalyzeMode::Adaptive { target_f: 0.25, gamma: 0.05 },
+    ] {
+        let opts = AnalyzeOptions { buckets: 20, mode, compressed: true };
+        let mut rng = StdRng::seed_from_u64(13);
+        let plain = analyze(&table, "amount", &opts, &mut rng).expect("column exists");
 
-    let storage = FaultInjectingStorage::new(amount_file(&table), FaultSpec::healthy(5));
-    let mut rng = StdRng::seed_from_u64(13);
-    let resilient = analyze_resilient(
-        "orders",
-        "amount",
-        &storage,
-        &opts,
-        &DegradationPolicy::default(),
-        &mut rng,
-    )
-    .expect("healthy storage");
+        let storage = FaultInjectingStorage::new(amount_file(&table), FaultSpec::healthy(5));
+        let mut rng = StdRng::seed_from_u64(13);
+        let resilient = analyze_resilient(
+            "orders",
+            "amount",
+            &storage,
+            &opts,
+            &DegradationPolicy::default(),
+            &mut rng,
+        )
+        .expect("healthy storage");
 
-    assert!(!resilient.degradation.degraded);
-    assert_eq!(resilient.stats, plain, "no faults ⇒ the degraded path is the plain path");
+        assert!(!resilient.degradation.degraded, "{mode:?}");
+        assert_eq!(
+            resilient.stats, plain,
+            "{mode:?}: no faults ⇒ the degraded path is the plain path"
+        );
+    }
 }
 
 #[test]
@@ -234,4 +247,48 @@ fn degraded_full_scan_scales_to_the_relation() {
     assert!(result.stats.method.contains("degraded scan"));
     assert_eq!(result.stats.histogram.total(), 30_000, "lost pages ⇒ scaled like a sample");
     assert_eq!(result.stats.sample_size as usize, (file.num_pages() - dead_pages) * 100);
+}
+
+/// The scan reports its page reads through the storage counters, so a
+/// degraded scan's trace bills exactly the pages that survived.
+#[test]
+fn degraded_full_scan_trace_counts_the_pages_read() {
+    let table = orders_table(41);
+    let file = amount_file(&table);
+    let spec = FaultSpec::healthy(8).with_unreadable(0.1);
+    let dead_pages = (0..file.num_pages())
+        .filter(|&p| spec.fault_of(p) != samplehist_storage::PageFault::None)
+        .count();
+    assert!(dead_pages > 0, "schedule must kill some of the 300 pages");
+
+    let storage = FaultInjectingStorage::new(file, spec);
+    let sink = Arc::new(MemorySink::new());
+    let recorder = Recorder::new(sink.clone());
+    let mut rng = StdRng::seed_from_u64(43);
+    let result = analyze_resilient_traced(
+        "orders",
+        "amount",
+        &storage,
+        &AnalyzeOptions::full_scan(20),
+        &DegradationPolicy::default(),
+        &mut rng,
+        &recorder,
+    )
+    .expect("most pages survive");
+    recorder.flush();
+
+    let counter_total = |wanted: &str| -> u64 {
+        sink.events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::Counter { name, delta, .. } if *name == wanted => Some(*delta),
+                _ => None,
+            })
+            .sum()
+    };
+    let live_pages = (file.num_pages() - dead_pages) as u64;
+    assert_eq!(counter_total("storage.pages_read"), live_pages);
+    assert_eq!(counter_total("storage.tuples_read"), result.stats.sample_size);
+    assert_eq!(result.stats.io.pages_read, live_pages, "trace and I/O meter agree");
+    assert_eq!(counter_total("analyze.blocks_failed") as usize, dead_pages);
 }

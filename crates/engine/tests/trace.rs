@@ -75,6 +75,19 @@ fn analyze_trace_covers_every_phase() {
             }
         }
     }
+    // The page reads nest under the phase that made them.
+    let acquire_id = events
+        .iter()
+        .find_map(|e| match e {
+            Event::SpanStart { id, name: "analyze.acquire", .. } => Some(*id),
+            _ => None,
+        })
+        .expect("acquire span present");
+    for e in &events {
+        if let Event::SpanStart { parent, name: "storage.read", .. } = e {
+            assert_eq!(*parent, Some(acquire_id), "storage.read must nest under analyze.acquire");
+        }
+    }
 }
 
 #[test]

@@ -25,7 +25,7 @@
 //! thread-safe handle. The default handle is **disabled** and every
 //! operation on it is a no-op costing one branch, so instrumentation
 //! stays in the code unconditionally. Pipeline entry points take an
-//! explicit `&Recorder` (`cvb::run_traced`, `engine::analyze_traced`);
+//! explicit `&Recorder` (`cvb::try_run_traced`, `engine::analyze_traced`);
 //! library-internal layers (radix routing, the parallel primitives, the
 //! storage samplers' default construction) fall back to the process-wide
 //! [`global`] recorder, which a binary installs once with

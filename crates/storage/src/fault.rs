@@ -163,9 +163,10 @@ impl FaultStats {
 
 /// A [`HeapFile`] viewed through a seeded fault schedule.
 ///
-/// Implements [`TryBlockSource`] — the sampler-facing trait — so the whole
-/// degradation-aware pipeline (`cvb::try_run`, `analyze_resilient`) runs
-/// against it unchanged. Every successful read is verified against the
+/// Implements [`TryBlockSource`] — the sampler-facing trait — so CVB and
+/// ANALYZE run against it unchanged: their one page-granular acquisition
+/// (`cvb::try_run`, `analyze_resilient`) is the degradation-aware code,
+/// which serves healthy heap files through `Reliable`. Every successful read is verified against the
 /// per-page checksum captured at wrap time; torn pages therefore surface
 /// as [`BlockError::Corrupted`] with both digests attached.
 #[derive(Debug)]

@@ -63,4 +63,4 @@ pub use heap_file::HeapFile;
 pub use io::IoStats;
 pub use layout::Layout;
 pub use page::{page_checksum, tuples_per_page, PageId, DEFAULT_PAGE_BYTES};
-pub use sampler::{BlockSampler, RecordSampler};
+pub use sampler::{read_pages, BlockSampler, PageReads, RecordSampler};

@@ -8,7 +8,8 @@
 //! rates almost every fetch is a distinct page).
 
 use rand::Rng;
-use samplehist_obs::Recorder;
+use samplehist_core::sampling::{BlockDraw, DegradationReport, Reliable, TryBlockSource};
+use samplehist_obs::{Recorder, Span};
 
 use crate::heap_file::HeapFile;
 use crate::io::IoStats;
@@ -18,24 +19,94 @@ use crate::page::PageId;
 /// values throughout) — used for the `storage.bytes_read` counter.
 const TUPLE_BYTES: u64 = 8;
 
-/// Report one batch of page reads to `recorder`: totals plus the
+/// Close `span`, the `storage.read` span opened before one batch of page
+/// reads, labelled `kind`, and report the batch: totals plus the
 /// sequential-vs-random split (a fetch is *sequential* when it hits the
 /// page directly after the previous fetch — the distinction that decides
-/// whether block sampling I/O behaves like a scan or like seeks).
-fn record_page_reads(recorder: &Recorder, kind: &'static str, pages: &[usize], tuples: u64) {
+/// whether block sampling I/O behaves like a scan or like seeks). `pages`
+/// lists the pages read, in read order; `tuples` is how many tuples they
+/// held. Emits no counter when no page was read.
+fn record_page_reads(
+    recorder: &Recorder,
+    mut span: Span,
+    kind: &'static str,
+    pages: &[usize],
+    tuples: u64,
+) {
+    span.field("kind", kind);
+    span.field("pages", pages.len());
+    span.field("tuples", tuples);
     if !recorder.is_enabled() || pages.is_empty() {
         return;
     }
     let sequential = pages.windows(2).filter(|w| w[1] == w[0].wrapping_add(1)).count() as u64;
-    let mut span = recorder.span("storage.read");
-    span.field("kind", kind);
-    span.field("pages", pages.len());
-    span.field("tuples", tuples);
     recorder.counter("storage.pages_read", pages.len() as u64);
     recorder.counter("storage.tuples_read", tuples);
     recorder.counter("storage.bytes_read", tuples * TUPLE_BYTES);
     recorder.counter("storage.pages_sequential", sequential);
     recorder.counter("storage.pages_random", pages.len() as u64 - sequential);
+}
+
+/// The tuples one [`read_pages`] walk produced, its I/O bill, and what it
+/// lost on the way.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PageReads {
+    /// The tuples of every page read, in read order.
+    pub values: Vec<i64>,
+    /// One page charge per page read.
+    pub io: IoStats,
+    /// Pages that failed and replacements drawn for them.
+    pub report: DegradationReport,
+}
+
+/// The one fixed-size page walk: read pages from `candidates` until
+/// `planned` of them were readable or the candidates run out; each lost
+/// page buys one more candidate while `replacement_budget` lasts. Lost
+/// pages are counted on `analyze.blocks_failed`. `span` is the
+/// `storage.read` span the caller opened for the walk (where it nests is
+/// the caller's choice); it is closed with the reads, labelled `kind`.
+pub fn read_pages(
+    source: &impl TryBlockSource,
+    mut candidates: impl Iterator<Item = usize>,
+    planned: usize,
+    replacement_budget: usize,
+    recorder: &Recorder,
+    span: Span,
+    kind: &'static str,
+) -> PageReads {
+    let mut values = Vec::with_capacity(planned * source.avg_tuples_per_block().ceil() as usize);
+    let mut io = IoStats::new();
+    // Pages read, kept only while tracing.
+    let mut read = Vec::new();
+    let mut report = DegradationReport::default();
+    let (mut want, mut budget) = (planned, replacement_budget);
+    while want > 0 {
+        let Some(p) = candidates.next() else { break };
+        want -= 1;
+        match source.try_block(p) {
+            Ok(page) => {
+                io.charge_page(page.len());
+                values.extend_from_slice(&page);
+                if recorder.is_enabled() {
+                    read.push(p);
+                }
+            }
+            Err(err) => {
+                report.blocks_failed += 1;
+                report.last_error = Some(err);
+                recorder.counter("analyze.blocks_failed", 1);
+                if budget > 0 {
+                    budget -= 1;
+                    want += 1;
+                }
+            }
+        }
+    }
+    record_page_reads(recorder, span, kind, &read, io.tuples_read);
+    let tried = io.pages_read as usize + report.blocks_failed;
+    report.replacements_drawn = tried - planned.min(tried);
+    report.degraded = report.blocks_failed > 0;
+    PageReads { values, io, report }
 }
 
 /// Page-grained sampler: draws whole pages without replacement and
@@ -51,12 +122,6 @@ impl BlockSampler {
     /// recorder (a no-op unless one is installed).
     pub fn new() -> Self {
         Self { io: IoStats::new(), recorder: samplehist_obs::global() }
-    }
-
-    /// New sampler reporting to an explicit recorder (what
-    /// `engine::analyze_traced` wires through).
-    pub fn with_recorder(recorder: Recorder) -> Self {
-        Self { io: IoStats::new(), recorder }
     }
 
     /// Bernoulli (SYSTEM-style) page sampling: include each page
@@ -83,6 +148,7 @@ impl BlockSampler {
             (fraction * file.num_pages() as f64).ceil() as usize * file.blocking_factor();
         let mut out = Vec::with_capacity(expected);
         let mut pages = Vec::new();
+        let span = self.recorder.span("storage.read");
         for p in 0..file.num_pages() {
             if rng.gen::<f64>() < fraction {
                 let page = file.page(PageId(p as u32));
@@ -91,7 +157,7 @@ impl BlockSampler {
                 pages.push(p);
             }
         }
-        record_page_reads(&self.recorder, "bernoulli_sample", &pages, out.len() as u64);
+        record_page_reads(&self.recorder, span, "bernoulli_sample", &pages, out.len() as u64);
         out
     }
 
@@ -105,16 +171,13 @@ impl BlockSampler {
             "cannot sample {g} of {} pages without replacement",
             file.num_pages()
         );
-        let ids: Vec<usize> =
-            rand::seq::index::sample(rng, file.num_pages(), g).into_iter().collect();
-        let mut out = Vec::with_capacity(g * file.blocking_factor());
-        for &id in &ids {
-            let page = file.page(PageId(id as u32));
-            self.io.charge_page(page.len());
-            out.extend_from_slice(page);
-        }
-        record_page_reads(&self.recorder, "block_sample", &ids, out.len() as u64);
-        out
+        let mut draw = BlockDraw::new(file.num_pages());
+        let span = self.recorder.span("storage.read");
+        let candidates = std::iter::from_fn(|| draw.draw(rng));
+        let read =
+            read_pages(&Reliable(file), candidates, g, 0, &self.recorder, span, "block_sample");
+        self.io.merge(read.io);
+        read.values
     }
 
     /// The accumulated I/O.
@@ -152,6 +215,7 @@ impl RecordSampler {
         let mut out = Vec::with_capacity(r);
         let mut pages = Vec::new();
         let track = self.recorder.is_enabled();
+        let span = self.recorder.span("storage.read");
         for _ in 0..r {
             let idx = rng.gen_range(0..n);
             let (value, page) = file.tuple(idx);
@@ -166,7 +230,7 @@ impl RecordSampler {
             }
             out.push(value);
         }
-        record_page_reads(&self.recorder, "record_sample", &pages, out.len() as u64);
+        record_page_reads(&self.recorder, span, "record_sample", &pages, out.len() as u64);
         out
     }
 
