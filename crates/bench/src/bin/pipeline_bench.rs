@@ -13,7 +13,9 @@
 //! (the `auto` rows: radix with skew-aware slice refinement whenever
 //! `selection_profitable`, otherwise sort) plus the sort-free
 //! `CompressedHistogram::from_unsorted`. Every timed repetition asserts
-//! the candidate is byte-identical to the sort-path reference. `--check`
+//! the candidate is byte-identical to the sort-path reference. A last
+//! section times the frequency-profile tally of the sorted column,
+//! serial vs run-aligned parallel. `--check`
 //! validates an existing result file against the JSON schema (the CI
 //! gate — same hand-rolled parser the trace validator uses); `--compare`
 //! gates a fresh `BENCH_pipeline.json` against a blessed baseline,
@@ -207,13 +209,9 @@ fn check_file(path: &str) -> Result<(), String> {
     for (i, row) in rows.iter().enumerate() {
         check_row(row).map_err(|e| format!("rows[{i}]: {e}"))?;
     }
-    let sort = obj.get("sort").ok_or("missing \"sort\" section")?;
-    require_positive_f64(sort, "serial_seconds")?;
-    require_positive_f64(sort, "parallel_seconds")?;
     let prof = obj.get("frequency_profile").ok_or("missing \"frequency_profile\" section")?;
     require_positive_f64(prof, "serial_seconds")?;
     require_positive_f64(prof, "parallel_seconds")?;
-    require_positive_f64(prof, "unsorted_hashed_seconds")?;
     println!("{path}: OK — {} rows", rows.len());
     Ok(())
 }
@@ -369,33 +367,13 @@ fn main() -> ExitCode {
     // construction-only speedup can be separated out.
     let (clone_s, _) = time_min(|| uniform.clone());
 
-    // -- Sorting: serial vs parallel (equal by construction; identical on
-    //    a single-core box).
-    let (serial_sort_s, a) = time_min(|| {
-        let mut v = uniform.clone();
-        parallel::par_sort_unstable_threads(1, &mut v);
-        v
-    });
-    let (par_sort_s, b) = time_min(|| {
-        let mut v = uniform.clone();
-        parallel::par_sort_unstable(&mut v);
-        v
-    });
-    assert_eq!(a, b, "parallel sort must agree with serial sort");
-    println!("sort: serial {serial_sort_s:.3}s vs {threads}-thread {par_sort_s:.3}s");
-
-    // -- Frequency profile: serial vs parallel over the sorted column,
-    //    plus the hashed profile that skips the sort entirely.
-    let sorted = b;
+    // -- Frequency profile: serial vs parallel tally of the sorted column.
+    let mut sorted = uniform;
+    sorted.sort_unstable();
     let (serial_prof_s, p1) = time_min(|| FrequencyProfile::from_sorted_sample_threads(1, &sorted));
     let (par_prof_s, p2) = time_min(|| FrequencyProfile::from_sorted_sample(&sorted));
-    let (unsorted_prof_s, p3) = time_min(|| FrequencyProfile::from_unsorted_sample(&uniform));
     assert_eq!(p1, p2, "parallel profile must be bit-identical to serial");
-    assert_eq!(p1, p3, "hashed unsorted profile must be bit-identical to sorted");
-    println!(
-        "frequency profile: serial {serial_prof_s:.3}s vs {threads}-thread {par_prof_s:.3}s \
-         vs unsorted hashed {unsorted_prof_s:.3}s"
-    );
+    println!("frequency profile: serial {serial_prof_s:.3}s vs {threads}-thread {par_prof_s:.3}s");
 
     let mut row_json = String::new();
     for (i, r) in rows.iter().enumerate() {
@@ -430,14 +408,9 @@ fn main() -> ExitCode {
             "  \"rows\": [\n",
             "{rows}",
             "  ],\n",
-            "  \"sort\": {{\n",
-            "    \"serial_seconds\": {ss:.6},\n",
-            "    \"parallel_seconds\": {ps:.6}\n",
-            "  }},\n",
             "  \"frequency_profile\": {{\n",
             "    \"serial_seconds\": {sp:.6},\n",
-            "    \"parallel_seconds\": {pp:.6},\n",
-            "    \"unsorted_hashed_seconds\": {up:.6}\n",
+            "    \"parallel_seconds\": {pp:.6}\n",
             "  }}\n",
             "}}\n"
         ),
@@ -449,11 +422,8 @@ fn main() -> ExitCode {
         auto_route = auto_route,
         clone = clone_s,
         rows = row_json,
-        ss = serial_sort_s,
-        ps = par_sort_s,
         sp = serial_prof_s,
         pp = par_prof_s,
-        up = unsorted_prof_s,
     );
     std::fs::write(OUT_PATH, &json).expect("write BENCH_pipeline.json");
     println!("wrote {OUT_PATH}");

@@ -19,7 +19,7 @@
 
 use samplehist_core::error::fractional_max_error;
 use samplehist_core::histogram::EquiHeightHistogram;
-use samplehist_core::sampling::{BlockPermutation, BlockSource};
+use samplehist_core::sampling::{merge_sorted_into, BlockPermutation, BlockSource};
 use samplehist_parallel as parallel;
 use samplehist_storage::HeapFile;
 
@@ -73,12 +73,12 @@ pub fn error_vs_rate(
     let per_trial: Vec<Vec<(f64, f64, f64)>> = parallel::par_map(&trials, |&trial| {
         let mut rng = scale.rng(label, trial);
         let mut permutation = BlockPermutation::new(file, &mut rng);
-        let mut sample: Vec<i64> = Vec::new();
+        let (mut sample, mut spare) = (Vec::new(), Vec::new());
         rates
             .iter()
             .map(|&rate| {
                 let target = (rate * n as f64).ceil() as usize;
-                grow_to(&mut sample, target, &mut permutation, file);
+                grow_to(&mut sample, &mut spare, target, &mut permutation, file);
                 let hist = EquiHeightHistogram::from_sorted_sample(&sample, buckets, n);
                 let err = fractional_max_error(hist.separators(), &sample, full_sorted).max;
                 (sample.len() as f64, permutation.drawn() as f64, err)
@@ -144,12 +144,12 @@ pub fn required_sampling(
     let per_trial: Vec<(f64, f64, bool)> = parallel::par_map(&trials, |&trial| {
         let mut rng = scale.rng(label, trial);
         let mut permutation = BlockPermutation::new(file, &mut rng);
-        let mut sample: Vec<i64> = Vec::new();
+        let (mut sample, mut spare) = (Vec::new(), Vec::new());
         // Start near the cheapest size that could plausibly certify the
         // target (a few tuples per bucket), then grow geometrically.
         let mut target = (buckets as u64 * 4).min(n) as usize;
         let hit = loop {
-            grow_to(&mut sample, target, &mut permutation, file);
+            grow_to(&mut sample, &mut spare, target, &mut permutation, file);
             let hist = EquiHeightHistogram::from_sorted_sample(&sample, buckets, n);
             let err = fractional_max_error(hist.separators(), &sample, full_sorted).max;
             if err <= target_f {
@@ -182,9 +182,12 @@ pub fn required_sampling(
 }
 
 /// Extend `sample` (kept sorted) with whole blocks until it holds at
-/// least `target` tuples or the permutation is exhausted.
+/// least `target` tuples or the permutation is exhausted. The merge
+/// writes into `spare`, which then trades places with `sample`, so the
+/// two buffers are reused from one growth step to the next.
 fn grow_to(
     sample: &mut Vec<i64>,
+    spare: &mut Vec<i64>,
     target: usize,
     permutation: &mut BlockPermutation,
     file: &HeapFile,
@@ -206,25 +209,8 @@ fn grow_to(
         }
     }
     fresh.sort_unstable();
-    let merged = merge_sorted(sample, &fresh);
-    *sample = merged;
-}
-
-fn merge_sorted(a: &[i64], b: &[i64]) -> Vec<i64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+    merge_sorted_into(sample, &fresh, spare);
+    std::mem::swap(sample, spare);
 }
 
 #[cfg(test)]

@@ -64,55 +64,15 @@ impl FrequencyProfile {
         Self { freqs, sample_size, distinct }
     }
 
-    /// Build the profile of an **unsorted** sample without sorting it:
-    /// one hashed counting pass (value → multiplicity), then a tally of
-    /// the multiplicities into the same sparse ascending representation.
-    /// Bit-identical to [`Self::from_sorted_sample`] of the sorted
-    /// sample (the tally is a commutative integer sum, so hash-iteration
-    /// order cannot show), at O(n) instead of a sort — this is what the
-    /// sort-free `ANALYZE` route uses.
+    /// Build the profile of an **unsorted** sample: sort a copy, then
+    /// [`Self::from_sorted_sample`].
     ///
     /// # Panics
     /// If the sample is empty.
     pub fn from_unsorted_sample(values: &[i64]) -> Self {
-        Self::from_unsorted_sample_threads(samplehist_parallel::num_threads(), values)
-    }
-
-    /// [`Self::from_unsorted_sample`] with an explicit thread budget.
-    /// The parallel path tallies chunk-local hash maps and merges them
-    /// by commutative addition, so the result is bit-identical at any
-    /// thread count.
-    pub fn from_unsorted_sample_threads(threads: usize, values: &[i64]) -> Self {
-        assert!(!values.is_empty(), "cannot profile an empty sample");
-        let tally = |chunk: &[i64]| {
-            let mut by_value: std::collections::HashMap<i64, u64> =
-                std::collections::HashMap::with_capacity(chunk.len().min(1 << 12));
-            for &v in chunk {
-                *by_value.entry(v).or_insert(0) += 1;
-            }
-            by_value
-        };
-        let by_value = if threads <= 1 || values.len() < PAR_PROFILE_MIN {
-            tally(values)
-        } else {
-            let mut partials = samplehist_parallel::par_chunks_map(threads, values, threads, tally);
-            let mut merged = partials.swap_remove(0);
-            for partial in partials {
-                for (v, c) in partial {
-                    *merged.entry(v).or_insert(0) += c;
-                }
-            }
-            merged
-        };
-        let mut by_multiplicity = std::collections::BTreeMap::new();
-        for (_, c) in by_value {
-            *by_multiplicity.entry(c).or_insert(0u64) += 1;
-        }
-        let freqs: Vec<(u64, u64)> = by_multiplicity.into_iter().collect();
-        let sample_size = freqs.iter().map(|&(j, f)| j * f).sum();
-        let distinct = freqs.iter().map(|&(_, f)| f).sum();
-        debug_assert_eq!(sample_size, values.len() as u64);
-        Self { freqs, sample_size, distinct }
+        let mut sorted = values.to_vec();
+        sorted.sort_unstable();
+        Self::from_sorted_sample(&sorted)
     }
 
     /// Build directly from `(multiplicity, count)` pairs — used by tests
@@ -278,30 +238,6 @@ mod tests {
                 assert!(!a.is_empty() && !b.is_empty());
                 assert_ne!(a.last(), b.first(), "pieces={pieces} split a run");
             }
-        }
-    }
-
-    #[test]
-    fn unsorted_profile_is_bit_identical_to_sorted() {
-        // Skewed data, unsorted, large enough for the parallel path.
-        let mut x = 0xDEAD_BEEFu64 | 1;
-        let values: Vec<i64> = (0..150_000)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                ((x % 977) * (x % 31)) as i64
-            })
-            .collect();
-        let mut sorted = values.clone();
-        sorted.sort_unstable();
-        let reference = FrequencyProfile::from_sorted_sample_threads(1, &sorted);
-        for threads in [1, 2, 4, 7] {
-            assert_eq!(
-                FrequencyProfile::from_unsorted_sample_threads(threads, &values),
-                reference,
-                "threads={threads}"
-            );
         }
     }
 

@@ -53,8 +53,8 @@ pub fn duplication_density(sorted: &[i64]) -> f64 {
 /// of sorted data: `Σ_j j²·f_j` over the profile is the same integer as
 /// `Σ_v c_v²` over the runs, and the final float expression is
 /// identical, so the result is **bit-identical** to
-/// `duplication_density(sorted)` — this is how the sort-free `ANALYZE`
-/// route gets its density without ever materializing run lengths.
+/// `duplication_density(sorted)` — `ANALYZE` takes its density from the
+/// profile it already built instead of a second pass over the runs.
 ///
 /// [`FrequencyProfile`]: crate::distinct::FrequencyProfile
 pub fn duplication_density_from_profile(profile: &crate::distinct::FrequencyProfile) -> f64 {
@@ -147,7 +147,7 @@ mod tests {
     fn profile_density_is_bit_identical() {
         use crate::distinct::FrequencyProfile;
         let mut x = 0x5151_5151u64 | 1;
-        let values: Vec<i64> = (0..30_000)
+        let mut sorted: Vec<i64> = (0..30_000)
             .map(|_| {
                 x ^= x << 13;
                 x ^= x >> 7;
@@ -155,10 +155,9 @@ mod tests {
                 (x % 499) as i64
             })
             .collect();
-        let mut sorted = values.clone();
         sorted.sort_unstable();
         let from_sorted = duplication_density(&sorted);
-        let profile = FrequencyProfile::from_unsorted_sample_threads(1, &values);
+        let profile = FrequencyProfile::from_sorted_sample(&sorted);
         let from_profile = duplication_density_from_profile(&profile);
         assert_eq!(from_sorted.to_bits(), from_profile.to_bits());
         // Endpoint cases too.

@@ -18,14 +18,14 @@ use super::radix;
 /// Value arrays shorter than this verify heavy candidates serially.
 const PAR_COUNT_MIN: usize = 1 << 16;
 
-/// Probe size for the unsorted builders' shape detection.
+/// Probe size for the unsorted builder's shape detection.
 const ROUTE_PROBE: usize = 1024;
 
-/// The unsorted builders fall back to sort + the sorted builder when at
+/// The unsorted builder falls back to sort + the sorted builder when at
 /// least this fraction of the probe belongs to heavy values.
 const ROUTE_HEAVY_MASS: f64 = 0.5;
 
-/// Should the unsorted builders sort a copy and run the sorted builder
+/// Should the unsorted builder sort a copy and run the sorted builder
 /// instead of the sort-free path? Both are **byte-identical**
 /// (property-tested); the choice is purely about speed. The sort-free
 /// path (rank probing + sort-free equi-height residual) wins on
@@ -234,76 +234,6 @@ impl CompressedHistogram {
         });
 
         Self { high_freq: runs, residual, total: n }
-    }
-
-    /// Sort-free counterpart of [`Self::from_sorted_sample`]:
-    /// byte-identical output (heavy counts scaled by `n/r` with the same
-    /// float rounding, residual scaled with the same largest-remainder
-    /// rule), routed by shape like [`Self::from_unsorted`].
-    ///
-    /// # Panics
-    /// If the sample is empty, `k == 0`, or the population is smaller
-    /// than the sample.
-    pub fn from_unsorted_sample(sample: &[i64], k: usize, population_total: u64) -> Self {
-        Self::from_unsorted_sample_threads(parallel::num_threads(), sample, k, population_total)
-    }
-
-    /// [`Self::from_unsorted_sample`] with an explicit thread count.
-    pub fn from_unsorted_sample_threads(
-        threads: usize,
-        sample: &[i64],
-        k: usize,
-        population_total: u64,
-    ) -> Self {
-        assert!(k > 0, "a histogram needs at least one bucket");
-        assert!(!sample.is_empty(), "cannot build a histogram from an empty sample");
-        assert!(
-            population_total >= sample.len() as u64,
-            "population ({population_total}) smaller than sample ({})",
-            sample.len()
-        );
-        if heavy_dominated(sample, k) {
-            samplehist_obs::global().counter("histogram.compressed.route.sorted", 1);
-            let mut sorted = sample.to_vec();
-            sorted.sort_unstable();
-            return Self::from_sorted_sample(&sorted, k, population_total);
-        }
-        Self::from_unsorted_sample_sortfree(threads, sample, k, population_total)
-    }
-
-    /// Sort-free path of [`Self::from_unsorted_sample_threads`], whatever
-    /// the sample shape.
-    fn from_unsorted_sample_sortfree(
-        threads: usize,
-        sample: &[i64],
-        k: usize,
-        population_total: u64,
-    ) -> Self {
-        samplehist_obs::global().counter("histogram.compressed.sortfree", 1);
-        let r = sample.len() as u64;
-        let scale = population_total as f64 / r as f64;
-        let threshold = r as f64 / k as f64;
-        let sample_runs = find_heavy_values(threads, sample, threshold, k);
-        debug_assert!(sample_runs.len() < k, "pigeonhole: at most k-1 values exceed r/k");
-
-        let runs: Vec<(i64, u64)> =
-            sample_runs.iter().map(|&(v, c)| (v, (c as f64 * scale).round() as u64)).collect();
-        let residual_k = k - runs.len();
-        let mut residual_sample = filter_residual(sample, &runs);
-        let heavy_total: u64 = runs.iter().map(|&(_, c)| c).sum();
-        let residual_total = population_total.saturating_sub(heavy_total).max(
-            residual_sample.len() as u64, // never claim fewer than observed
-        );
-        let residual = (!residual_sample.is_empty()).then(|| {
-            EquiHeightHistogram::from_unsorted_sample_threads(
-                threads,
-                &mut residual_sample,
-                residual_k,
-                residual_total,
-            )
-        });
-
-        Self { high_freq: runs, residual, total: population_total }
     }
 
     /// Assemble a compressed histogram from raw parts: an ascending
@@ -585,20 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn sortfree_sample_matches_sorted_sample_path() {
-        let data = skewed_data();
-        let shuffled = strided(&data);
-        for (k, pop) in [(10usize, 5_000u64), (4, 1_000), (1, 999_999)] {
-            let reference = CompressedHistogram::from_sorted_sample(&data, k, pop);
-            for threads in [1usize, 4] {
-                let got =
-                    CompressedHistogram::from_unsorted_sample_sortfree(threads, &shuffled, k, pop);
-                assert_eq!(got, reference, "k={k} pop={pop} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn sortfree_all_one_value_and_no_heavy_edges() {
         // Every tuple heavy: empty residual. (Forced sort-free — auto
         // would route this fully-dominated input to the sorted builder.)
@@ -676,32 +592,24 @@ mod tests {
 
         /// The sort-free compressed histogram (rank probing + exact
         /// counting, no global order ever established) equals the
-        /// sort-based one on heavy-duplicate multisets — plain and
-        /// sampled, serial and parallel. The sort-free path is forced:
-        /// these skewed inputs would otherwise auto-route to the sorted
-        /// builder and test nothing.
+        /// sort-based one on heavy-duplicate multisets, serial and
+        /// parallel. The sort-free path is forced: these skewed inputs
+        /// would otherwise auto-route to the sorted builder and test
+        /// nothing.
         #[test]
         fn sortfree_compressed_equals_sort_path(
             data in skewed_multiset(1 << 32),
             k in 1usize..24,
-            extra_pop in 0u64..50_000,
         ) {
             super::super::test_recording();
             let mut sorted = data.clone();
             sorted.sort_unstable();
             let reference = CompressedHistogram::from_sorted(&sorted, k);
-            let pop = data.len() as u64 + extra_pop;
-            let sampled_reference = CompressedHistogram::from_sorted_sample(&sorted, k, pop);
             for threads in [1usize, 4] {
                 prop_assert_eq!(
                     &CompressedHistogram::from_unsorted_sortfree(threads, &data, k),
                     &reference,
                     "threads = {}", threads
-                );
-                prop_assert_eq!(
-                    &CompressedHistogram::from_unsorted_sample_sortfree(threads, &data, k, pop),
-                    &sampled_reference,
-                    "sampled, threads = {}", threads
                 );
             }
         }
@@ -710,13 +618,12 @@ mod tests {
         /// sweeping the heavy-mass fraction across the routing
         /// threshold, the forced sort-free path and the shape-routed
         /// entry point both equal the sorted builder (which is also the
-        /// heavy-dominated path), plain and sampled.
+        /// heavy-dominated path).
         #[test]
         fn compressed_routing_is_byte_invisible(
             heavy_count in 0usize..4000,
             light in prop::collection::vec(-1000i64..1000, 2000usize),
             k in 2usize..16,
-            extra_pop in 0u64..50_000,
         ) {
             // heavy fraction = heavy_count / (heavy_count + 2000) ∈ [0, 0.67):
             // cases land on both sides of the 0.5 routing threshold.
@@ -725,24 +632,12 @@ mod tests {
             let mut sorted = data.clone();
             sorted.sort_unstable();
             let reference = CompressedHistogram::from_sorted(&sorted, k);
-            let pop = data.len() as u64 + extra_pop;
-            let sampled_reference = CompressedHistogram::from_sorted_sample(&sorted, k, pop);
             prop_assert_eq!(
                 &CompressedHistogram::from_unsorted_sortfree(1, &data, k),
                 &reference,
                 "sortfree"
             );
             prop_assert_eq!(&CompressedHistogram::from_unsorted_threads(1, &data, k), &reference, "auto");
-            prop_assert_eq!(
-                &CompressedHistogram::from_unsorted_sample_sortfree(1, &data, k, pop),
-                &sampled_reference,
-                "sampled sortfree"
-            );
-            prop_assert_eq!(
-                &CompressedHistogram::from_unsorted_sample_threads(1, &data, k, pop),
-                &sampled_reference,
-                "sampled auto"
-            );
         }
     }
 }

@@ -99,8 +99,7 @@ impl EquiHeightHistogram {
     /// * large inputs with few separators (see [`super::selection_profitable`])
     ///   resolve the `k−1` separator ranks and their `count_le` by radix
     ///   counting (`radix`) — ~3 linear passes, no sort;
-    /// * everything else is (parallel-)sorted and handed to
-    ///   [`Self::from_sorted`].
+    /// * everything else is sorted and handed to [`Self::from_sorted`].
     ///
     /// Both paths produce **byte-identical** histograms (property-tested
     /// against sort + [`Self::from_sorted`]): separators are order
@@ -131,15 +130,15 @@ impl EquiHeightHistogram {
         if radix::selection_profitable(values.len(), k) {
             Self::from_unsorted_radix(threads, values, k)
         } else {
-            Self::from_unsorted_sort(threads, values, k)
+            Self::from_unsorted_sort(values, k)
         }
     }
 
-    /// Sort path of [`Self::from_unsorted_threads`]: (parallel-)sort in
-    /// place, then [`Self::from_sorted`].
-    fn from_unsorted_sort(threads: usize, values: &mut [i64], k: usize) -> Self {
+    /// Sort path of [`Self::from_unsorted_threads`]: sort in place, then
+    /// [`Self::from_sorted`].
+    fn from_unsorted_sort(values: &mut [i64], k: usize) -> Self {
         samplehist_obs::global().counter("histogram.route.sort", 1);
-        parallel::par_sort_unstable_threads(threads, values);
+        values.sort_unstable();
         Self::from_sorted(values, k)
     }
 
@@ -169,35 +168,16 @@ impl EquiHeightHistogram {
     /// Convenience wrapper over [`Self::from_sorted_sample`] accepting an
     /// unsorted sample. Routes through radix rank resolution instead of a
     /// sort when the sample shape makes that profitable (same rule and
-    /// same byte-identical guarantee as [`Self::from_unsorted`]).
-    pub fn from_unsorted_sample(mut sample: Vec<i64>, k: usize, population_total: u64) -> Self {
-        Self::from_unsorted_sample_in_place(&mut sample, k, population_total)
-    }
-
-    /// [`Self::from_unsorted_sample`] without taking ownership.
-    pub fn from_unsorted_sample_in_place(
-        sample: &mut [i64],
-        k: usize,
-        population_total: u64,
-    ) -> Self {
-        Self::from_unsorted_sample_threads(parallel::num_threads(), sample, k, population_total)
-    }
-
-    /// [`Self::from_unsorted_sample_in_place`] with an explicit thread
-    /// count; counts are scaled with the same largest-remainder rule as
+    /// same byte-identical guarantee as [`Self::from_unsorted`]); counts
+    /// are scaled with the same largest-remainder rule as
     /// [`Self::from_sorted_sample`].
     ///
     /// # Panics
     /// If the sample is empty, `k == 0`, or
     /// `population_total < sample.len()`.
-    pub fn from_unsorted_sample_threads(
-        threads: usize,
-        sample: &mut [i64],
-        k: usize,
-        population_total: u64,
-    ) -> Self {
-        assert_sample_shape(sample, k, population_total);
-        Self::from_unsorted_threads(threads, sample, k).scaled_to(population_total)
+    pub fn from_unsorted_sample(mut sample: Vec<i64>, k: usize, population_total: u64) -> Self {
+        assert_sample_shape(&sample, k, population_total);
+        Self::from_unsorted_in_place(&mut sample, k).scaled_to(population_total)
     }
 
     /// This histogram of a sample, with its counts scaled up to a
@@ -633,7 +613,7 @@ mod tests {
         let mut sort = data.to_vec();
         [
             ("auto", EquiHeightHistogram::from_unsorted_threads(threads, &mut auto, k)),
-            ("sort", EquiHeightHistogram::from_unsorted_sort(threads, &mut sort, k)),
+            ("sort", EquiHeightHistogram::from_unsorted_sort(&mut sort, k)),
             ("radix", EquiHeightHistogram::from_unsorted_radix(threads, data, k)),
         ]
     }
@@ -660,10 +640,9 @@ mod tests {
         sorted.sort_unstable();
         let pop = 123_457u64;
         let reference = EquiHeightHistogram::from_sorted_sample(&sorted, 100, pop);
+        let h = EquiHeightHistogram::from_unsorted_sample(data.clone(), 100, pop);
+        assert_eq!(h, reference, "route=auto");
         for threads in [1usize, 4] {
-            let mut auto = data.clone();
-            let h = EquiHeightHistogram::from_unsorted_sample_threads(threads, &mut auto, 100, pop);
-            assert_eq!(h, reference, "route=auto threads={threads}");
             for (route, h) in every_path(threads, &data, 100) {
                 assert_eq!(h.scaled_to(pop), reference, "route={route} threads={threads}");
             }

@@ -578,8 +578,8 @@ struct Scratch {
 
 /// Merge two sorted slices (the accumulated sample and a fresh batch) into
 /// `out`, clearing it first. The caller owns `out` so its capacity is
-/// reused across rounds.
-fn merge_sorted_into(a: &[i64], fresh: &[i64], out: &mut Vec<i64>) {
+/// reused across rounds; ties take `a`'s element first.
+pub fn merge_sorted_into(a: &[i64], fresh: &[i64], out: &mut Vec<i64>) {
     out.clear();
     out.reserve(a.len() + fresh.len());
     let (mut i, mut j) = (0, 0);

@@ -30,7 +30,8 @@ pub mod schedule;
 
 pub use block::{BlockDraw, BlockPermutation, BlockSource, SliceBlocks};
 pub use cvb::{
-    CvbConfig, CvbError, CvbResult, CvbRound, DegradationPolicy, DegradationReport, ValidationMode,
+    merge_sorted_into, CvbConfig, CvbError, CvbResult, CvbRound, DegradationPolicy,
+    DegradationReport, ValidationMode,
 };
 pub use double::{DoubleSamplingConfig, DoubleSamplingResult};
 pub use fallible::{BlockError, Reliable, TryBlockSource};

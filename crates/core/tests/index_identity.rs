@@ -205,8 +205,7 @@ proptest! {
 
     /// CompressedIndex vs the bisect oracle: equality (heavy and light
     /// constants) with its classification flag, ranges spanning heavy
-    /// runs, and the batch paths — threads 1 and 4, sampled population
-    /// scaling.
+    /// runs, and the batch paths, with sampled population scaling.
     #[test]
     fn compressed_index_is_byte_identical(
         data in skewed_multiset(1 << 40),
@@ -215,39 +214,38 @@ proptest! {
     ) {
         enable_recording();
         let pop = data.len() as u64 + extra_pop;
-        for threads in [1usize, 4] {
-            let c = CompressedHistogram::from_unsorted_sample_threads(threads, &data, k, pop);
-            let idx = CompressedIndex::new(&c);
-            let mut pts: Vec<i64> = data.iter().copied().take(6).collect();
-            pts.extend([i64::MIN, i64::MAX, 0, -1, 1]);
-            for &(v, _) in c.high_frequency_values() {
-                pts.push(v);
-                pts.push(v.saturating_add(1));
+        let mut sorted = data.clone();
+        sorted.sort_unstable();
+        let c = CompressedHistogram::from_sorted_sample(&sorted, k, pop);
+        let idx = CompressedIndex::new(&c);
+        let mut pts: Vec<i64> = data.iter().copied().take(6).collect();
+        pts.extend([i64::MIN, i64::MAX, 0, -1, 1]);
+        for &(v, _) in c.high_frequency_values() {
+            pts.push(v);
+            pts.push(v.saturating_add(1));
+        }
+        for &v in &pts {
+            let (want, bisect_hit) = oracle_compressed_eq(&c, v);
+            assert_bits(idx.estimate_eq(v), want, &format!("compressed eq({v})"));
+            let (est, heavy) = idx.estimate_eq_classified(v);
+            prop_assert_eq!(est.to_bits(), want.to_bits());
+            prop_assert_eq!(heavy, bisect_hit, "classification of {}", v);
+        }
+        for &x in &pts {
+            for &y in pts.iter().step_by(2) {
+                assert_bits(
+                    idx.estimate_range(x, y),
+                    oracle_compressed_range(&c, x, y),
+                    &format!("compressed range({x}, {y})"),
+                );
             }
-            for &v in &pts {
-                let (want, bisect_hit) = oracle_compressed_eq(&c, v);
-                assert_bits(idx.estimate_eq(v), want,
-                    &format!("compressed eq({v}), threads {threads}"));
-                let (est, heavy) = idx.estimate_eq_classified(v);
-                prop_assert_eq!(est.to_bits(), want.to_bits());
-                prop_assert_eq!(heavy, bisect_hit, "classification of {}", v);
-            }
-            for &x in &pts {
-                for &y in pts.iter().step_by(2) {
-                    assert_bits(
-                        idx.estimate_range(x, y),
-                        oracle_compressed_range(&c, x, y),
-                        &format!("compressed range({x}, {y}), threads {threads}"),
-                    );
-                }
-            }
-            let mut out = vec![(0.0, false); pts.len()];
-            idx.estimate_eq_classified_batch(&pts, &mut out);
-            for (i, &v) in pts.iter().enumerate() {
-                let (want, bisect_hit) = oracle_compressed_eq(&c, v);
-                assert_bits(out[i].0, want, &format!("compressed eq batch [{i}]"));
-                prop_assert_eq!(out[i].1, bisect_hit, "batch classification of {}", v);
-            }
+        }
+        let mut out = vec![(0.0, false); pts.len()];
+        idx.estimate_eq_classified_batch(&pts, &mut out);
+        for (i, &v) in pts.iter().enumerate() {
+            let (want, bisect_hit) = oracle_compressed_eq(&c, v);
+            assert_bits(out[i].0, want, &format!("compressed eq batch [{i}]"));
+            prop_assert_eq!(out[i].1, bisect_hit, "batch classification of {}", v);
         }
     }
 

@@ -284,18 +284,14 @@ proptest! {
         }
     }
 
-    /// The hashed (unsorted) frequency profile matches the sorted tally,
-    /// and the profile-derived density is bit-identical to the sorted
-    /// run-length density — together they justify ANALYZE's sort-free
-    /// estimate path.
+    /// The unsorted-sample frequency profile matches the sorted tally,
+    /// and the profile-derived density ANALYZE stores is bit-identical to
+    /// the sorted run-length density.
     #[test]
-    fn unsorted_profile_and_density_equal_sorted(
-        data in unsorted_multiset(1..500),
-        threads in 1usize..10,
-    ) {
+    fn unsorted_profile_and_density_equal_sorted(data in unsorted_multiset(1..500)) {
         let mut sorted = data.clone();
         sorted.sort_unstable();
-        let profile = FrequencyProfile::from_unsorted_sample_threads(threads, &data);
+        let profile = FrequencyProfile::from_unsorted_sample(&data);
         prop_assert_eq!(&profile, &FrequencyProfile::from_sorted_sample(&sorted));
         prop_assert_eq!(
             duplication_density_from_profile(&profile).to_bits(),

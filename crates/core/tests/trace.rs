@@ -7,6 +7,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use samplehist_core::distinct::FrequencyProfile;
 use samplehist_core::histogram::EquiHeightHistogram;
 use samplehist_core::sampling::{
     cvb, CvbConfig, CvbResult, DegradationPolicy, Reliable, SliceBlocks,
@@ -161,8 +162,10 @@ fn enabling_a_recorder_never_changes_results() {
     let config = CvbConfig::theoretical(&source, 20, 0.25, 0.05);
 
     // Baselines, recording disabled.
-    let mut sorted_bare = data.clone();
-    samplehist_parallel::par_sort_unstable_threads(1, &mut sorted_bare);
+    // Every value twice: 120k tuples, past the parallel tally's cutoff.
+    let mut sorted: Vec<i64> = data.iter().flat_map(|&v| [v, v]).collect();
+    sorted.sort_unstable();
+    let profile_bare = FrequencyProfile::from_sorted_sample_threads(1, &sorted);
     let hist_bare = EquiHeightHistogram::from_unsorted(data.clone(), 50);
     let mut rng = StdRng::seed_from_u64(21);
     let cvb_bare = traced_cvb(&source, &config, &mut rng, &Recorder::disabled());
@@ -174,12 +177,12 @@ fn enabling_a_recorder_never_changes_results() {
     samplehist_obs::set_global(recorder.clone());
 
     for threads in [1, 4] {
-        let mut sorted = data.clone();
-        samplehist_parallel::par_sort_unstable_threads(threads, &mut sorted);
-        assert_eq!(sorted, sorted_bare, "traced {threads}-thread sort must match the bare sort");
+        let hist_traced =
+            EquiHeightHistogram::from_unsorted_threads(threads, &mut data.clone(), 50);
+        assert_eq!(hist_traced, hist_bare, "traced {threads}-thread radix build must match");
+        let profile_traced = FrequencyProfile::from_sorted_sample_threads(threads, &sorted);
+        assert_eq!(profile_traced, profile_bare, "traced {threads}-thread profile must match");
     }
-    let hist_traced = EquiHeightHistogram::from_unsorted(data.clone(), 50);
-    assert_eq!(hist_traced, hist_bare, "traced radix construction must be byte-identical");
 
     let mut rng = StdRng::seed_from_u64(21);
     let cvb_traced = traced_cvb(&source, &config, &mut rng, &recorder);

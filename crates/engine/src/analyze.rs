@@ -5,7 +5,7 @@ use samplehist_obs::{Recorder, Span};
 
 use samplehist_core::distinct::{DistinctEstimator, FrequencyProfile, Gee};
 use samplehist_core::estimate::duplication_density_from_profile;
-use samplehist_core::histogram::{selection_profitable, CompressedHistogram, EquiHeightHistogram};
+use samplehist_core::histogram::{CompressedHistogram, EquiHeightHistogram};
 use samplehist_core::sampling::{
     cvb, BlockDraw, CvbConfig, CvbError, DegradationPolicy, DegradationReport, Reliable, Schedule,
     TryBlockSource, ValidationMode,
@@ -231,10 +231,10 @@ struct Acquisition {
 }
 
 /// The mode-independent back half of ANALYZE: closing the `acquire` span
-/// with the I/O bill, then sort routing, histogram and
-/// compressed-histogram construction, density and distinct estimation —
-/// shared by every mode, so a degraded acquisition builds statistics
-/// exactly like a clean one.
+/// with the I/O bill, then one sort (skipped for CVB's presorted sample),
+/// histogram and compressed-histogram construction, density and distinct
+/// estimation — shared by every mode, so a degraded acquisition builds
+/// statistics exactly like a clean one.
 fn finish_statistics(
     table: &str,
     column: &str,
@@ -250,68 +250,41 @@ fn finish_statistics(
     acquire.field("sampling_rate", io.tuples_read as f64 / (n.max(1)) as f64);
     acquire.finish();
 
-    // Decide whether the full sort can be skipped: CVB hands back an
-    // already-sorted sample, and for everything else the radix
-    // rank resolver plus the hashed frequency profile cover every
-    // downstream consumer without a global order (skipped only at tiny
-    // `n`, where the sort is free anyway and the routes tie). The
-    // `analyze.sort` span is always emitted so traces keep their shape;
-    // its `route` field says what actually happened.
-    let sort_free = !presorted && selection_profitable(sample.len(), options.buckets);
+    // Every artifact below reads off one sorted sample, as the paper
+    // builds them (Section 5's compressed histogram, Section 6's `f_j`):
+    // CVB hands back an already-sorted sample, everything else is sorted
+    // here. The `analyze.sort` span's `route` says which.
     let mut sort_span = root.child("analyze.sort");
     sort_span.field("n", sample.len());
-    sort_span.field(
-        "route",
-        if presorted {
-            "presorted"
-        } else if sort_free {
-            "deferred_sort_free"
-        } else {
-            "sorted"
-        },
-    );
-    if !presorted && !sort_free {
-        // Full scans and large samples dominate ANALYZE wall-clock here;
-        // sort across cores (serial fallback below the parallel cutoff).
-        samplehist_parallel::par_sort_unstable(&mut sample);
+    sort_span.field("route", if presorted { "presorted" } else { "sorted" });
+    if !presorted {
+        sample.sort_unstable();
     }
     sort_span.finish();
 
     let mut build_span = root.child("analyze.build");
     build_span.field("buckets", options.buckets);
     build_span.field("route", if is_full { "exact" } else { "scaled_sample" });
-    build_span.field("sort_free", sort_free);
     build_span.field("compressed", options.compressed);
-    // The sort-free equi-height build partitions `sample` in place; the
-    // compressed build only reads it, and every consumer below is
-    // order-insensitive, so build order does not matter.
-    let compressed = options.compressed.then(|| match (sort_free, is_full) {
-        (true, true) => CompressedHistogram::from_unsorted(&sample, options.buckets),
-        (true, false) => CompressedHistogram::from_unsorted_sample(&sample, options.buckets, n),
-        (false, true) => CompressedHistogram::from_sorted(&sample, options.buckets),
-        (false, false) => CompressedHistogram::from_sorted_sample(&sample, options.buckets, n),
-    });
-    let histogram = match (sort_free, is_full) {
-        (true, true) => EquiHeightHistogram::from_unsorted_in_place(&mut sample, options.buckets),
-        (true, false) => {
-            EquiHeightHistogram::from_unsorted_sample_in_place(&mut sample, options.buckets, n)
+    let compressed = options.compressed.then(|| {
+        if is_full {
+            CompressedHistogram::from_sorted(&sample, options.buckets)
+        } else {
+            CompressedHistogram::from_sorted_sample(&sample, options.buckets, n)
         }
-        (false, true) => EquiHeightHistogram::from_sorted(&sample, options.buckets),
-        (false, false) => EquiHeightHistogram::from_sorted_sample(&sample, options.buckets, n),
+    });
+    let histogram = if is_full {
+        EquiHeightHistogram::from_sorted(&sample, options.buckets)
+    } else {
+        EquiHeightHistogram::from_sorted_sample(&sample, options.buckets, n)
     };
     build_span.finish();
 
     let mut est_span = root.child("analyze.estimate");
-    let profile = if sort_free {
-        FrequencyProfile::from_unsorted_sample(&sample)
-    } else {
-        FrequencyProfile::from_sorted_sample(&sample)
-    };
+    let profile = FrequencyProfile::from_sorted_sample(&sample);
     let distinct_in_sample = profile.distinct_in_sample();
     let distinct_estimate =
         if is_full { distinct_in_sample as f64 } else { Gee.estimate(&profile, n) };
-    // Density comes from the profile on both routes (bit-identical to the
-    // sorted run-length form), so the sort-free path never needs order.
     let density = duplication_density_from_profile(&profile);
     est_span.field("distinct_in_sample", distinct_in_sample);
     est_span.field("distinct_estimate", distinct_estimate);
@@ -605,20 +578,43 @@ mod tests {
     }
 
     #[test]
-    fn sort_free_route_matches_sorted_reference() {
-        // 20k rows with 50 buckets clears the selection-profitability bar,
-        // so this full scan takes the deferred sort-free route; every
-        // statistic must still match one built from the sorted column.
+    fn scan_and_block_sample_match_sorted_references() {
+        // Both acquisitions hand back storage order; every statistic must
+        // equal the one built from the sorted tuples they read.
         let t = orders_table(13);
-        let mut rng = StdRng::seed_from_u64(14);
-        let opts = AnalyzeOptions::full_scan(50).with_compressed();
-        let s = analyze(&t, "amount", &opts, &mut rng).expect("column exists");
-        let mut sorted: Vec<i64> = (0..20_000).map(|i| i % 200).collect();
-        sorted.sort_unstable();
-        assert_eq!(s.histogram, EquiHeightHistogram::from_sorted(&sorted, 50));
-        assert_eq!(s.compressed, Some(CompressedHistogram::from_sorted(&sorted, 50)));
-        let expected = samplehist_core::estimate::duplication_density(&sorted);
-        assert_eq!(s.density.to_bits(), expected.to_bits(), "density must be bit-identical");
+        let file = t.column("amount").expect("column exists").file();
+        let n = file.num_tuples();
+        let k = 50;
+        let block = AnalyzeMode::BlockSample { rate: 0.5 };
+        for mode in [AnalyzeMode::FullScan, block] {
+            let opts = AnalyzeOptions { buckets: k, mode, compressed: true };
+            let s = analyze(&t, "amount", &opts, &mut StdRng::seed_from_u64(14))
+                .expect("column exists");
+            let mut sorted = if mode == block {
+                // `BlockSampler::sample` makes the same page draw.
+                let mut rng = StdRng::seed_from_u64(14);
+                samplehist_storage::BlockSampler::new().sample(file, 100, &mut rng)
+            } else {
+                (0..20_000).map(|i| i % 200).collect()
+            };
+            assert!(sorted.len() >= 8192, "{mode:?}: big enough for `from_unsorted`'s radix route");
+            assert_eq!(s.sample_size, sorted.len() as u64, "{mode:?}");
+            sorted.sort_unstable();
+            let profile = FrequencyProfile::from_sorted_sample(&sorted);
+            if mode == block {
+                assert_eq!(s.histogram, EquiHeightHistogram::from_sorted_sample(&sorted, k, n));
+                let compressed = CompressedHistogram::from_sorted_sample(&sorted, k, n);
+                assert_eq!(s.compressed, Some(compressed));
+                assert_eq!(s.distinct_estimate.to_bits(), Gee.estimate(&profile, n).to_bits());
+            } else {
+                assert_eq!(s.histogram, EquiHeightHistogram::from_sorted(&sorted, k));
+                assert_eq!(s.compressed, Some(CompressedHistogram::from_sorted(&sorted, k)));
+                assert_eq!(s.distinct_estimate, profile.distinct_in_sample() as f64);
+            }
+            assert_eq!(s.distinct_in_sample, profile.distinct_in_sample(), "{mode:?}");
+            let density = samplehist_core::estimate::duplication_density(&sorted);
+            assert_eq!(s.density.to_bits(), density.to_bits(), "{mode:?}: density bits");
+        }
     }
 
     #[test]

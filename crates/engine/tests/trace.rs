@@ -5,7 +5,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use samplehist_engine::{analyze, analyze_traced, AnalyzeMode, AnalyzeOptions, Table};
-use samplehist_obs::{Event, MemorySink, Recorder};
+use samplehist_obs::{Event, MemorySink, Recorder, Value};
 use samplehist_storage::Layout;
 
 fn orders_table(seed: u64) -> Table {
@@ -108,6 +108,33 @@ fn adaptive_analyze_trace_contains_the_cvb_rounds() {
     let rounds = names.iter().filter(|n| **n == "cvb.round").count();
     assert!(rounds > 0, "no cvb.round spans recorded");
     assert!(stats.method.contains("adaptive CVB"));
+}
+
+/// The `analyze.sort` span's `route`: a full scan reads storage order and
+/// sorts it; CVB hands back its merged sample already sorted.
+#[test]
+fn analyze_sort_span_reports_its_route() {
+    for (mode, route) in [
+        (AnalyzeMode::FullScan, "sorted"),
+        (AnalyzeMode::Adaptive { target_f: 0.2, gamma: 0.05 }, "presorted"),
+    ] {
+        let sink = Arc::new(MemorySink::new());
+        let recorder = Recorder::new(sink.clone());
+        let opts = AnalyzeOptions { buckets: 20, mode, compressed: false };
+        let mut rng = StdRng::seed_from_u64(7);
+        analyze_traced(&orders_table(7), "amount", &opts, &mut rng, &recorder).expect("ok");
+        let routes: Vec<Value> = sink
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::SpanEnd { name: "analyze.sort", fields, .. } => {
+                    fields.into_iter().find(|(key, _)| *key == "route").map(|(_, v)| v)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(routes, vec![Value::from(route)], "{mode:?}");
+    }
 }
 
 /// Tracing must not change the statistics: same table, same seed, with

@@ -3,8 +3,8 @@
 //! Dependency-free data-parallel primitives for the histogram pipeline,
 //! built on [`std::thread::scope`]. The workspace builds with no external
 //! crates, so the small slice of `rayon`'s API the pipeline needs —
-//! fork/join, an order-preserving parallel map, chunked map/reduce, and a
-//! parallel unstable sort — is implemented here directly.
+//! fork/join, an order-preserving parallel map, and chunked map/reduce —
+//! is implemented here directly.
 //!
 //! ## Determinism policy
 //!
@@ -16,9 +16,6 @@
 //!   reduce the returned vector sequentially.
 //! * [`par_chunks_map`] splits a slice at positions that depend only on
 //!   the requested chunk count, never on timing.
-//! * [`par_sort_unstable`] operates on totally ordered keys whose equal
-//!   elements are indistinguishable (`i64` values here), so the sorted
-//!   output is unique and therefore schedule-independent.
 //!
 //! ## Thread-count policy
 //!
@@ -35,7 +32,7 @@
 //! The parallel branches report their fan-out through the process-wide
 //! [`samplehist_obs::global`] recorder: `parallel.tasks_spawned` /
 //! `parallel.*.calls` counters, a `parallel.threads` gauge, and
-//! per-chunk `parallel.chunk_ns` / `parallel.sort_chunk_ns` timings.
+//! per-chunk `parallel.chunk_ns` timings.
 //! With no recorder installed (the default) each check is one relaxed
 //! atomic load; serial fallbacks are never instrumented, so the
 //! single-thread path stays exactly as cheap as before.
@@ -191,72 +188,6 @@ where
     par_map_threads(threads, &pieces, |piece| f(piece))
 }
 
-/// Parallel unstable sort with the default thread budget.
-pub fn par_sort_unstable<T: Ord + Copy + Send + Sync>(v: &mut [T]) {
-    par_sort_unstable_threads(num_threads(), v);
-}
-
-/// Minimum slice length before [`par_sort_unstable`] bothers spawning.
-const PAR_SORT_MIN: usize = 1 << 15;
-
-/// Parallel unstable sort with an explicit thread count: sort near-equal
-/// chunks on scoped threads, then k-way merge through a loser heap.
-/// Falls back to [`slice::sort_unstable`] for small inputs or one thread.
-pub fn par_sort_unstable_threads<T: Ord + Copy + Send + Sync>(threads: usize, v: &mut [T]) {
-    if threads <= 1 || v.len() < PAR_SORT_MIN {
-        v.sort_unstable();
-        return;
-    }
-    let chunk_len = v.len().div_ceil(threads);
-    let recorder = samplehist_obs::global();
-    if recorder.is_enabled() {
-        recorder.counter("parallel.par_sort.calls", 1);
-        // All runs but the last sort on spawned threads.
-        recorder.counter("parallel.tasks_spawned", (v.len().div_ceil(chunk_len) - 1) as u64);
-        recorder.gauge("parallel.threads", threads as f64);
-    }
-    std::thread::scope(|s| {
-        let mut rest: &mut [T] = v;
-        while rest.len() > chunk_len {
-            let (head, tail) = rest.split_at_mut(chunk_len);
-            let recorder = &recorder;
-            s.spawn(move || {
-                let start = recorder.is_enabled().then(Instant::now);
-                head.sort_unstable();
-                if let Some(start) = start {
-                    recorder.timing("parallel.sort_chunk_ns", start.elapsed().as_nanos() as u64);
-                }
-            });
-            rest = tail;
-        }
-        rest.sort_unstable();
-    });
-    // Merge the sorted runs in one pass. A binary heap of (head, run)
-    // keyed on the run's current front gives O(n log t) with t = threads.
-    let merge_start = recorder.is_enabled().then(Instant::now);
-    let runs: Vec<&[T]> = v.chunks(chunk_len).collect();
-    let mut merged: Vec<T> = Vec::with_capacity(v.len());
-    let mut heads: Vec<usize> = vec![0; runs.len()];
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(T, usize)>> =
-        std::collections::BinaryHeap::with_capacity(runs.len());
-    for (ri, run) in runs.iter().enumerate() {
-        if !run.is_empty() {
-            heap.push(std::cmp::Reverse((run[0], ri)));
-        }
-    }
-    while let Some(std::cmp::Reverse((val, ri))) = heap.pop() {
-        merged.push(val);
-        heads[ri] += 1;
-        if let Some(&next) = runs[ri].get(heads[ri]) {
-            heap.push(std::cmp::Reverse((next, ri)));
-        }
-    }
-    v.copy_from_slice(&merged);
-    if let Some(start) = merge_start {
-        recorder.timing("parallel.sort_merge_ns", start.elapsed().as_nanos() as u64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,34 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn par_sort_matches_serial_sort() {
-        // Deterministic pseudo-random data with heavy duplicates.
-        let mut x = 0x1234_5678_9abc_def0u64;
-        let data: Vec<i64> = (0..100_000)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x % 997) as i64 - 498
-            })
-            .collect();
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        for threads in [1, 2, 4, 7] {
-            let mut got = data.clone();
-            par_sort_unstable_threads(threads, &mut got);
-            assert_eq!(got, expect, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn par_sort_small_input() {
-        let mut v = vec![3i64, 1, 2];
-        par_sort_unstable_threads(8, &mut v);
-        assert_eq!(v, vec![1, 2, 3]);
-    }
-
-    #[test]
     #[should_panic(expected = "parallel task panicked")]
     fn panics_propagate() {
         let _ = join(|| 1, || panic!("boom"));
@@ -368,16 +271,7 @@ mod tests {
         assert_eq!(out.len(), 1000);
         assert!(prom.counter_value("parallel.tasks_spawned").unwrap_or(0) >= 4);
         assert!(prom.counter_value("parallel.par_map.calls").unwrap_or(0) >= 1);
-
-        let mut v: Vec<i64> = (0..PAR_SORT_MIN as i64).rev().collect();
-        par_sort_unstable_threads(4, &mut v);
-        assert!(v.windows(2).all(|w| w[0] <= w[1]));
-        assert!(prom.counter_value("parallel.par_sort.calls").unwrap_or(0) >= 1);
-        let chunk_timings = mem
-            .events()
-            .iter()
-            .filter(|e| e.name() == "parallel.chunk_ns" || e.name() == "parallel.sort_chunk_ns")
-            .count();
+        let chunk_timings = mem.events().iter().filter(|e| e.name() == "parallel.chunk_ns").count();
         assert!(chunk_timings >= 4, "per-chunk timings recorded, got {chunk_timings}");
     }
 }
