@@ -150,7 +150,7 @@ impl EquiHeightHistogram {
     pub(super) fn from_unsorted_radix(threads: usize, values: &[i64], k: usize) -> Self {
         samplehist_obs::global().counter("histogram.route.radix", 1);
         let ranks = radix::separator_ranks(values.len(), k);
-        let resolution = radix::resolve_ranks_threads(threads, values, &ranks);
+        let resolution = radix::resolve_ranks(threads, values, &ranks);
         let mut separators = Vec::with_capacity(k - 1);
         let mut counts = Vec::with_capacity(k);
         let mut prev = 0u64;

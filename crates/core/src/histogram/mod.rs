@@ -82,7 +82,7 @@ pub fn bucket_counts(sorted: &[i64], separators: &[i64]) -> Vec<u64> {
 /// can read what the paths under test emitted. Other tests in the same
 /// binary record into the same sink, so counter reads are lower bounds.
 #[cfg(test)]
-fn test_recording() -> std::sync::Arc<samplehist_obs::PromSink> {
+pub(crate) fn test_recording() -> std::sync::Arc<samplehist_obs::PromSink> {
     use std::sync::{Arc, OnceLock};
     static SINK: OnceLock<Arc<samplehist_obs::PromSink>> = OnceLock::new();
     SINK.get_or_init(|| {

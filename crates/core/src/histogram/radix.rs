@@ -38,21 +38,23 @@
 //! The refinement fan-out and the residue that survives it are surfaced
 //! as `radix.slices_split` / `radix.residue_tuples` counters.
 //!
-//! ## Scratch reuse
+//! ## Level buffers
 //!
 //! Each recursion level needs a counter array, prefix sums, slice→slot
-//! maps, and gather buffers. A [`Scratch`] owns one [`LevelScratch`] per
-//! possible level and is threaded through the recursion
+//! maps, and gather buffers. A resolver call owns one [`LevelScratch`]
+//! per possible level and threads them through the recursion
 //! (`split_first_mut` hands the current level its buffers and passes the
-//! deeper ones down), so a resolver call — and every call that reuses
-//! the same `Scratch` — performs no steady-state allocation: buffers are
-//! `clear()`ed (a memset for the counters) rather than reallocated, and
-//! gather buffers return to a pool keeping their capacity.
+//! deeper ones down), so the serial jobs of one level reuse the deeper
+//! level's buffers instead of reallocating them.
 //!
-//! The counting pass is chunk-parallel with a sequential reduce and the
-//! per-slice resolutions fan out over
+//! ## Parallelism
+//!
+//! `min_max` and the counting passes are chunk-parallel with a
+//! sequential reduce, and the per-slice resolutions fan out over
 //! [`samplehist_parallel::par_map_mut_threads`], so results are
-//! bit-identical at any thread count.
+//! bit-identical at any thread count. Each of these forks only when it
+//! splits at least [`samplehist_parallel::RADIX_FORK_MIN_LEN`] elements;
+//! smaller levels and job sets run serially whatever the thread budget.
 
 use samplehist_parallel as parallel;
 
@@ -81,9 +83,6 @@ const DIRECT_EXACT_BITS: u32 = 21;
 /// Gathered slices at least this large recurse instead of sorting; the
 /// same bar marks a rank-bearing slice as a refinement candidate.
 const RECURSE_MIN: usize = 1 << 13;
-
-/// Value arrays shorter than this are counted serially.
-const PAR_COUNT_MIN: usize = 1 << 16;
 
 /// Refinement fires when the candidate slices jointly hold at least
 /// 1/REFINE_RESIDUE_DIV of the level's input — below that, the extra
@@ -128,13 +127,23 @@ pub(super) fn separator_ranks(n: usize, k: usize) -> Vec<usize> {
     (1..k as u64).map(|j| (crate::math::div_ceil_u64(j * n, k as u64) - 1) as usize).collect()
 }
 
+/// The thread budget for a parallel pass over `len` elements: `threads`
+/// when the pass is large enough to pay for a fork, otherwise 1.
+fn fork_threads(threads: usize, len: usize) -> usize {
+    if len < parallel::RADIX_FORK_MIN_LEN {
+        1
+    } else {
+        threads
+    }
+}
+
 /// Smallest and largest element of a non-empty, arbitrarily ordered
 /// slice (chunk-parallel for large inputs; min/max are associative and
 /// commutative, so the result is schedule-independent).
-fn min_max(values: &[i64]) -> (i64, i64) {
+fn min_max(threads: usize, values: &[i64]) -> (i64, i64) {
     assert!(!values.is_empty(), "min_max of an empty value set");
-    let threads = parallel::num_threads();
-    if threads <= 1 || values.len() < PAR_COUNT_MIN {
+    let threads = fork_threads(threads, values.len());
+    if threads <= 1 {
         return min_max_chunk(values);
     }
     parallel::par_chunks_map(threads, values, threads, min_max_chunk)
@@ -166,22 +175,8 @@ fn min_max_chunk(values: &[i64]) -> (i64, i64) {
     (lo, hi)
 }
 
-/// Reusable per-level buffers for [`resolve_ranks_with`]: counter and
-/// prefix arrays, the slice→slot maps, and a pool of gather buffers.
-/// One `Scratch` serves arbitrarily many resolver calls; within a call
-/// it is threaded through the recursion so no level allocates in steady
-/// state.
-pub(super) struct Scratch {
-    levels: Vec<LevelScratch>,
-}
-
-impl Scratch {
-    /// An empty scratch; buffers grow on first use and persist.
-    pub(super) fn new() -> Self {
-        Scratch { levels: Vec::new() }
-    }
-}
-
+/// One recursion level's buffers: counter and prefix arrays, the
+/// slice→slot maps, and a pool of gather buffers.
 #[derive(Default)]
 struct LevelScratch {
     /// First-pass slice counts, then reused as-is for prefix walking.
@@ -219,46 +214,22 @@ pub(super) struct RankResolution {
 }
 
 /// Resolve the values (and their global `count_le`) at the given
-/// ascending 0-based `ranks` of unsorted `values`, with the default
-/// thread budget and a throwaway scratch.
+/// ascending 0-based `ranks` of unsorted `values`, forking up to
+/// `threads` ways where a pass is large enough (results are
+/// bit-identical at any thread count).
 ///
 /// # Panics
 /// If `values` is empty (ranks may be empty; they must be ascending and
 /// in range, which debug asserts check).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(super) fn resolve_ranks(values: &[i64], ranks: &[usize]) -> RankResolution {
-    resolve_ranks_threads(parallel::num_threads(), values, ranks)
-}
-
-/// [`resolve_ranks`] with an explicit thread count.
-pub(super) fn resolve_ranks_threads(
-    threads: usize,
-    values: &[i64],
-    ranks: &[usize],
-) -> RankResolution {
-    let mut scratch = Scratch::new();
-    resolve_ranks_with(threads, values, ranks, &mut scratch)
-}
-
-/// [`resolve_ranks`] with an explicit thread count and a caller-held
-/// [`Scratch`] — repeated calls reuse every internal buffer.
-pub(super) fn resolve_ranks_with(
-    threads: usize,
-    values: &[i64],
-    ranks: &[usize],
-    scratch: &mut Scratch,
-) -> RankResolution {
+pub(super) fn resolve_ranks(threads: usize, values: &[i64], ranks: &[usize]) -> RankResolution {
     assert!(!values.is_empty(), "cannot resolve ranks of an empty value set");
     debug_assert!(ranks.windows(2).all(|w| w[0] <= w[1]), "ranks must be ascending");
     debug_assert!(ranks.iter().all(|&r| r < values.len()), "ranks must be in range");
     let mut span = samplehist_obs::global().span("radix.resolve");
     span.field("n", values.len());
     span.field("ranks", ranks.len());
-    let (min, max) = min_max(values);
-    if scratch.levels.len() < MAX_LEVELS {
-        scratch.levels.resize_with(MAX_LEVELS, LevelScratch::default);
-    }
-    let entries = resolve_in_range(values, ranks, min, max, threads, &mut scratch.levels);
+    let (min, max) = min_max(threads, values);
+    let entries = resolve_in_range(values, ranks, min, max, threads, &mut fresh_levels());
     span.field("span_bits", u64::BITS - max.abs_diff(min).leading_zeros());
     span.finish();
     RankResolution { entries, min, max }
@@ -301,6 +272,7 @@ fn resolve_in_range(
         // a fresh set keeps the resolver correct if knobs ever change.
         return resolve_in_range(values, ranks, min, max, threads, &mut fresh_levels());
     };
+    let threads = fork_threads(threads, values.len());
     let recorder = samplehist_obs::global();
     recorder.counter("radix.levels", 1);
     let span = max.abs_diff(min);
@@ -513,15 +485,17 @@ fn resolve_in_range(
 
     // Resolve each job independently (disjoint value ranges), then
     // rebase its local count_le with the precomputed base. Serially the
-    // recursion reuses the deeper scratch levels; in parallel each job
+    // recursion reuses the deeper scratch levels; in parallel (only when
+    // the gathered residue is large enough to pay for the fork) each job
     // runs single-threaded on its own fresh levels.
-    let resolved: Vec<Vec<(i64, u64)>> = if threads <= 1 || jobs.len() <= 1 {
-        jobs.iter_mut().map(|job| resolve_job(job, threads, deeper)).collect()
-    } else {
-        parallel::par_map_mut_threads(threads, &mut jobs, |job| {
-            resolve_job(job, 1, &mut fresh_levels())
-        })
-    };
+    let resolved: Vec<Vec<(i64, u64)>> =
+        if fork_threads(threads, residue as usize) <= 1 || jobs.len() <= 1 {
+            jobs.iter_mut().map(|job| resolve_job(job, threads, deeper)).collect()
+        } else {
+            parallel::par_map_mut_threads(threads, &mut jobs, |job| {
+                resolve_job(job, 1, &mut fresh_levels())
+            })
+        };
     for (job, local) in jobs.iter().zip(resolved) {
         for (i, (v, le)) in local.into_iter().enumerate() {
             out[job.out_start + i] = (v, job.base + le);
@@ -543,7 +517,7 @@ fn resolve_job(
         // Recurse with the job's *actual* value range (tighter than the
         // slice bounds), shrinking the span per level.
         samplehist_obs::global().counter("radix.slices_recursed", 1);
-        let (lo, hi) = min_max(&job.elems);
+        let (lo, hi) = min_max(threads, &job.elems);
         resolve_in_range(&job.elems, &job.locals, lo, hi, threads, deeper)
     } else {
         samplehist_obs::global().counter("radix.slices_sorted", 1);
@@ -645,7 +619,7 @@ fn count_exact32_into(values: &[i64], min: i64, slices: usize, threads: usize, o
     samplehist_obs::global().counter("radix.count.kernel_lanes8", 1);
     out.clear();
     out.resize(slices, 0);
-    if threads <= 1 || values.len() < PAR_COUNT_MIN {
+    if threads <= 1 {
         count_exact32_chunk(values, min, out);
         return;
     }
@@ -672,7 +646,7 @@ fn count_slices_into(
     samplehist_obs::global().counter("radix.count.kernel_lanes8", 1);
     out.clear();
     out.resize(slices, 0);
-    if threads <= 1 || values.len() < PAR_COUNT_MIN {
+    if threads <= 1 {
         count_slices_chunk(values, min, shift, out);
         return;
     }
@@ -713,7 +687,7 @@ fn count_refined_into(
     };
     out.clear();
     out.resize(counters, 0);
-    if threads <= 1 || values.len() < PAR_COUNT_MIN {
+    if threads <= 1 {
         for &v in values {
             tally_one(out, v);
         }
@@ -790,7 +764,7 @@ mod tests {
         ] {
             let values = noisy(n, domain, 0xABCD + n as u64);
             let ranks = separator_ranks(n, k);
-            let got = resolve_ranks(&values, &ranks);
+            let got = resolve_ranks(1, &values, &ranks);
             assert_eq!(got.entries, reference(&values, &ranks), "n={n} domain={domain} k={k}");
             assert_eq!(got.min, *values.iter().min().expect("non-empty"));
             assert_eq!(got.max, *values.iter().max().expect("non-empty"));
@@ -806,7 +780,7 @@ mod tests {
         values.extend(noisy(RECURSE_MIN, 1000, 0x77));
         values.push(i64::MAX / 2);
         let ranks = separator_ranks(values.len(), 50);
-        let got = resolve_ranks(&values, &ranks);
+        let got = resolve_ranks(1, &values, &ranks);
         assert_eq!(got.entries, reference(&values, &ranks));
     }
 
@@ -819,7 +793,7 @@ mod tests {
             let values = skewed(1 << 32, heavy_runs, 0xBEEF);
             for k in [2usize, 17, 128] {
                 let ranks = separator_ranks(values.len(), k);
-                let got = resolve_ranks(&values, &ranks);
+                let got = resolve_ranks(1, &values, &ranks);
                 assert_eq!(got.entries, reference(&values, &ranks), "runs={heavy_runs} k={k}");
             }
         }
@@ -833,24 +807,74 @@ mod tests {
             let values = skewed(1 << 45, heavy_runs, 0xD00D);
             for k in [5usize, 64] {
                 let ranks = separator_ranks(values.len(), k);
-                let got = resolve_ranks(&values, &ranks);
+                let got = resolve_ranks(1, &values, &ranks);
                 assert_eq!(got.entries, reference(&values, &ranks), "runs={heavy_runs} k={k}");
             }
         }
     }
 
     #[test]
-    fn scratch_reuse_and_threads_are_byte_identical() {
-        let mut scratch = Scratch::new();
+    fn threads_are_byte_identical() {
         for seed in [0x1111u64, 0x2222, 0x3333] {
             let values = skewed(1 << 32, 4, seed);
             let ranks = separator_ranks(values.len(), 40);
             let expect = reference(&values, &ranks);
             for threads in [1usize, 4] {
-                let got = resolve_ranks_with(threads, &values, &ranks, &mut scratch);
+                let got = resolve_ranks(threads, &values, &ranks);
                 assert_eq!(got.entries, expect, "seed={seed} threads={threads}");
             }
         }
+    }
+
+    /// Resolve `ranks` at threads 1, 2 and 4, check the three agree byte
+    /// for byte and match the sort reference, and return by how much the
+    /// multi-threaded runs raised the `counter` fork count.
+    fn forks_at_threads_1_2_4(values: &[i64], ranks: &[usize], counter: &str) -> u64 {
+        let prom = super::super::test_recording();
+        let calls = || prom.counter_value(counter).unwrap_or(0);
+        let serial = resolve_ranks(1, values, ranks);
+        assert_eq!(serial.entries, reference(values, ranks));
+        let before = calls();
+        for threads in [2usize, 4] {
+            let got = resolve_ranks(threads, values, ranks);
+            assert_eq!(got.entries, serial.entries, "threads={threads}");
+            assert_eq!((got.min, got.max), (serial.min, serial.max), "threads={threads}");
+        }
+        calls() - before
+    }
+
+    #[test]
+    fn min_max_and_counting_fork_at_the_threshold() {
+        // Exact counting (narrow span), sliced counting (wide span) and
+        // the refinement pass (heavy runs over a 2^32 domain), each over
+        // RADIX_FORK_MIN_LEN values so min/max and every counting kernel fork.
+        let n = parallel::RADIX_FORK_MIN_LEN;
+        let mut refined = skewed(1 << 32, 40, 0xF0C5);
+        refined.extend(noisy(n.saturating_sub(refined.len()), 1 << 32, 0xF0C6));
+        for (name, values) in [
+            ("exact", noisy(n, 1 << 20, 0xF0C3)),
+            ("sliced", noisy(n, 1 << 40, 0xF0C4)),
+            ("refined", refined),
+        ] {
+            assert!(values.len() >= n, "{name}");
+            let ranks = separator_ranks(values.len(), 600);
+            let forks = forks_at_threads_1_2_4(&values, &ranks, "parallel.par_map.calls");
+            assert!(forks >= 4, "{name}: min/max and counting must fork, got {forks}");
+        }
+    }
+
+    #[test]
+    fn job_fan_out_forks_at_the_threshold() {
+        // Two heavy runs over a 2^45 domain: refinement cannot resolve
+        // them exactly (sub_shift > 0), so each run's sub-slice becomes a
+        // gather job, and together they hold RADIX_FORK_MIN_LEN values.
+        let half = parallel::RADIX_FORK_MIN_LEN / 2 + 1;
+        let mut values = vec![-(1i64 << 40); half];
+        values.extend(vec![1i64 << 40; half]);
+        values.extend(noisy(4000, 1 << 45, 0xFA17));
+        let ranks = separator_ranks(values.len(), 64);
+        let forks = forks_at_threads_1_2_4(&values, &ranks, "parallel.par_map_mut.calls");
+        assert!(forks >= 2, "the job fan-out must fork at threads 2 and 4, got {forks}");
     }
 
     #[test]
@@ -860,7 +884,7 @@ mod tests {
         let prom = super::super::test_recording();
         let values = skewed(1 << 32, 4, 0xCAFE);
         let ranks = separator_ranks(values.len(), 64);
-        let got = resolve_ranks(&values, &ranks);
+        let got = resolve_ranks(1, &values, &ranks);
         assert_eq!(got.entries, reference(&values, &ranks));
         assert!(prom.counter_value("radix.slices_split").unwrap_or(0) >= 1, "slices_split");
         // At the exact-refine domain every rank-bearing slice resolves
@@ -868,7 +892,7 @@ mod tests {
         // path is what leaves a residue.
         let wide = skewed(1 << 45, 4, 0xCAFE);
         let wide_ranks = separator_ranks(wide.len(), 64);
-        let got_wide = resolve_ranks(&wide, &wide_ranks);
+        let got_wide = resolve_ranks(1, &wide, &wide_ranks);
         assert_eq!(got_wide.entries, reference(&wide, &wide_ranks));
         assert!(prom.counter_value("radix.residue_tuples").unwrap_or(0) >= 1, "residue_tuples");
     }
@@ -877,7 +901,7 @@ mod tests {
     fn extreme_values_do_not_overflow() {
         let values = vec![i64::MIN, i64::MAX, 0, -1, 1, i64::MIN, i64::MAX];
         let ranks: Vec<usize> = (0..values.len()).collect();
-        let got = resolve_ranks(&values, &ranks);
+        let got = resolve_ranks(1, &values, &ranks);
         assert_eq!(got.entries, reference(&values, &ranks));
         assert_eq!((got.min, got.max), (i64::MIN, i64::MAX));
     }
@@ -890,7 +914,7 @@ mod tests {
         values.extend(vec![i64::MAX; RECURSE_MIN * 2]);
         values.extend(noisy(4000, 1 << 40, 0x5EED));
         let ranks = separator_ranks(values.len(), 33);
-        let got = resolve_ranks(&values, &ranks);
+        let got = resolve_ranks(1, &values, &ranks);
         assert_eq!(got.entries, reference(&values, &ranks));
     }
 
@@ -898,14 +922,14 @@ mod tests {
     fn repeated_ranks_allowed() {
         let values = noisy(500, 10, 0x11);
         let ranks = vec![0, 0, 250, 250, 499];
-        let got = resolve_ranks(&values, &ranks);
+        let got = resolve_ranks(1, &values, &ranks);
         assert_eq!(got.entries, reference(&values, &ranks));
     }
 
     #[test]
     #[should_panic(expected = "empty value set")]
     fn empty_values_rejected() {
-        let _ = resolve_ranks(&[], &[0]);
+        let _ = resolve_ranks(1, &[], &[0]);
     }
 
     /// A noisy multiset whose span is *exactly* `span`: both endpoints
@@ -931,7 +955,7 @@ mod tests {
             let values = pinned_span(20_000, -37, span, 0xB0DA + span);
             for k in [2usize, 33, 600] {
                 let ranks = separator_ranks(values.len(), k);
-                let got = resolve_ranks(&values, &ranks);
+                let got = resolve_ranks(1, &values, &ranks);
                 assert_eq!(got.entries, reference(&values, &ranks), "{name} boundary, k={k}");
             }
         }
@@ -942,7 +966,7 @@ mod tests {
         for n in [1usize, 7, RECURSE_MIN * 2] {
             let values = vec![-42i64; n];
             let ranks = separator_ranks(n, 16);
-            let got = resolve_ranks(&values, &ranks);
+            let got = resolve_ranks(1, &values, &ranks);
             assert_eq!(got.entries, reference(&values, &ranks), "n={n}");
             assert_eq!((got.min, got.max), (-42, -42));
         }
@@ -956,7 +980,7 @@ mod tests {
         for k in [10usize, 64, 1000] {
             let ranks = separator_ranks(values.len(), k);
             assert!(ranks.len() >= values.len(), "k={k} must over-request");
-            let got = resolve_ranks(&values, &ranks);
+            let got = resolve_ranks(1, &values, &ranks);
             assert_eq!(got.entries, reference(&values, &ranks), "k={k}");
         }
     }
@@ -964,7 +988,7 @@ mod tests {
     #[test]
     fn empty_rank_set_still_reports_min_max() {
         let values = noisy(1000, 1 << 24, 0xE);
-        let got = resolve_ranks(&values, &[]);
+        let got = resolve_ranks(1, &values, &[]);
         assert!(got.entries.is_empty());
         assert_eq!(got.min, *values.iter().min().expect("non-empty"));
         assert_eq!(got.max, *values.iter().max().expect("non-empty"));
@@ -976,7 +1000,7 @@ mod tests {
         // offset anything.
         for v in [i64::MIN, i64::MAX] {
             let values = vec![v; 100];
-            let got = resolve_ranks(&values, &separator_ranks(100, 8));
+            let got = resolve_ranks(1, &values, &separator_ranks(100, 8));
             assert_eq!(got.entries, reference(&values, &separator_ranks(100, 8)), "v={v}");
         }
         // Both extremes with heavy runs: span (as u64) is u64::MAX, the
@@ -985,7 +1009,7 @@ mod tests {
         values.extend(vec![i64::MAX; 5_000]);
         values.extend(noisy(5_000, u64::MAX / 4, 0xFE));
         let ranks = separator_ranks(values.len(), 77);
-        let got = resolve_ranks(&values, &ranks);
+        let got = resolve_ranks(1, &values, &ranks);
         assert_eq!(got.entries, reference(&values, &ranks));
         assert_eq!((got.min, got.max), (i64::MIN, i64::MAX));
     }
@@ -1028,7 +1052,7 @@ mod tests {
     fn min_max_matches_sort() {
         for n in [1usize, 2, 999, 100_000] {
             let data = noisy(n, 1_000_000, n as u64);
-            let (lo, hi) = min_max(&data);
+            let (lo, hi) = min_max(1, &data);
             assert_eq!(lo, *data.iter().min().unwrap());
             assert_eq!(hi, *data.iter().max().unwrap());
         }

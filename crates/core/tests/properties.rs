@@ -228,8 +228,11 @@ proptest! {
         );
     }
 
-    /// The parallel frequency-profile builder is bit-identical to the
-    /// serial tally for any sorted multiset and thread count.
+    /// The frequency-profile builder is bit-identical to the serial tally
+    /// for any sorted multiset and thread budget. (These samples stay
+    /// below `PROFILE_FORK_MIN_LEN`, so the tally never forks here; the
+    /// forked tally has a fixed-input test at the threshold in
+    /// `distinct::freq`.)
     #[test]
     fn parallel_frequency_profile_equals_serial(
         data in unsorted_multiset(1..500),
@@ -245,9 +248,12 @@ proptest! {
 
     /// The skew-refined radix route (exact sub-resolution: the ±2³² domain
     /// keeps the refinement's sub-shift at zero) is byte-identical to
-    /// sort + `from_sorted` on heavy-duplicate multisets, serial and
-    /// parallel, with recording enabled. Every drawn multiset holds
+    /// sort + `from_sorted` on heavy-duplicate multisets at thread budgets
+    /// 1 and 4, with recording enabled. Every drawn multiset holds
     /// ≥ 9000 values, so `from_unsorted_threads` takes the radix route.
+    /// (These sizes stay below `RADIX_FORK_MIN_LEN`, so no pass forks
+    /// here; the forked passes have fixed-input tests at the threshold
+    /// in `histogram::radix`.)
     #[test]
     fn refined_radix_exact_equals_sort_path(
         data in skewed_multiset(1 << 32),

@@ -187,10 +187,9 @@ impl ProbeOutcome {
 }
 
 /// Reusable buffers for [`run_probe_with`] — the page-permutation and
-/// sampled-value vectors a probe fills, following the radix `Scratch`
-/// pattern: the caller (typically one per worker thread) owns the
-/// allocations and successive probes only pay a clear + refill, not a
-/// fresh heap round-trip per probe.
+/// sampled-value vectors a probe fills. The caller (typically one per
+/// worker thread) owns the allocations and successive probes only pay a
+/// clear + refill, not a fresh heap round-trip per probe.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     /// Page permutation; refilled with the identity each probe before
