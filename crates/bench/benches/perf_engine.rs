@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks: the engine layer — ANALYZE modes,
-//! selectivity estimation, and join estimation.
+//! selectivity estimation, and join estimation — plus the statistics
+//! service's warm read path (`service_read`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -9,6 +10,7 @@ use samplehist_data::DataSpec;
 use samplehist_engine::{
     analyze, estimate_cardinality, estimate_equijoin, AnalyzeMode, AnalyzeOptions, Predicate, Table,
 };
+use samplehist_service::{ServiceConfig, StatsService};
 use samplehist_storage::Layout;
 
 fn demo_table(n: u64) -> Table {
@@ -68,9 +70,30 @@ fn bench_selectivity(c: &mut Criterion) {
     c.bench_function("equijoin_estimate", |b| b.iter(|| estimate_equijoin(&stats, &stats)));
 }
 
+/// A warm service read: registered table, installed snapshot, no
+/// refresh pending — the lookup, access bump, staleness check and
+/// estimate that a served request pays.
+fn bench_service_read(c: &mut Criterion) {
+    let svc = StatsService::new(ServiceConfig {
+        analyze: AnalyzeOptions::full_scan(200),
+        ..ServiceConfig::deterministic(19)
+    });
+    svc.register_table(demo_table(200_000), None);
+    svc.refresh_now("t", "c").expect("column exists");
+    let pred = Predicate::Between { low: 1_000, high: 6_000 };
+    let mut group = c.benchmark_group("service_read");
+    group.bench_function("estimate_cardinality", |b| {
+        b.iter(|| svc.estimate_cardinality("t", "c", &pred).expect("warm"))
+    });
+    group.bench_function("estimate_equijoin", |b| {
+        b.iter(|| svc.estimate_equijoin("t", "c", "t", "c").expect("warm"))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_analyze, bench_selectivity
+    targets = bench_analyze, bench_selectivity, bench_service_read
 }
 criterion_main!(benches);

@@ -5,13 +5,16 @@
 //! * [`Catalog`] — the original single-threaded map, for tools and tests
 //!   that own their statistics outright.
 //! * [`StatsCatalog`] — the concurrent service catalog: lock-striped
-//!   stripes of `RwLock<FxHashMap<…, Arc<VersionedStats>>>`, with
-//!   epoch-stamped `Arc`-swap snapshots so estimation reads never block
-//!   on an in-flight ANALYZE (the expensive build happens entirely
-//!   outside any lock; the write lock is held only to swap a pointer).
+//!   stripes of `RwLock<FxHashMap<…, Slot>>`, with epoch-stamped
+//!   `Arc`-swap snapshots so estimation reads never block on an
+//!   in-flight ANALYZE (the expensive build happens entirely outside any
+//!   lock; the write lock is held only to swap a pointer). A slot also
+//!   holds the column's registration (access count, modification
+//!   counter, row count), so a service read is one stripe lookup.
 //!   Keys hash through the unkeyed [`FxHasher`](crate::hash::FxHasher):
-//!   entries are only ever inserted by [`StatsCatalog::install`], so a
-//!   wire client's names can probe but never populate a stripe.
+//!   entries are only ever inserted by [`StatsCatalog::install`] and
+//!   [`StatsCatalog::register`], so a wire client's names can probe but
+//!   never populate a stripe.
 
 use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
@@ -26,7 +29,7 @@ use crate::accuracy::AccuracyLedger;
 use crate::analyze::{analyze, AnalyzeError, AnalyzeOptions};
 use crate::hash::{FxBuildHasher, FxHashMap};
 use crate::stats::ColumnStatistics;
-use crate::table::Table;
+use crate::table::{ModCounter, Table};
 
 /// Owned map key: one (table, column) pair.
 ///
@@ -208,7 +211,9 @@ impl VersionedStats {
 pub const DEFAULT_STRIPES: usize = 16;
 
 /// The concurrent statistics catalog: a sharded, lock-striped map from
-/// (table, column) to [`Arc<VersionedStats>`].
+/// (table, column) to a slot holding the current [`Arc<VersionedStats>`]
+/// and, once [`register`](Self::register)ed, the column's access count,
+/// modification counter and row count.
 ///
 /// **Snapshot contract.** Readers take a stripe's read lock only long
 /// enough to clone an `Arc`; the returned snapshot is immutable, so an
@@ -221,6 +226,13 @@ pub const DEFAULT_STRIPES: usize = 16;
 /// **Epoch contract.** Each install stores `epoch = previous + 1`
 /// (starting at 1), under the stripe write lock, so per-column epochs are
 /// strictly increasing and a reader can assert freshness monotonicity.
+///
+/// **Registration contract.** [`read`](Self::read) and
+/// [`record_modifications`](Self::record_modifications) answer only for
+/// registered columns; [`get`](Self::get), [`install`](Self::install),
+/// [`invalidate`](Self::invalidate), [`len`](Self::len) and
+/// [`snapshot`](Self::snapshot) see snapshots only and work the same
+/// with or without registrations.
 #[derive(Debug)]
 pub struct StatsCatalog {
     stripes: Box<[Stripe]>,
@@ -229,7 +241,41 @@ pub struct StatsCatalog {
 }
 
 /// One lock stripe of the concurrent catalog.
-type Stripe = RwLock<FxHashMap<ColumnKey, Arc<VersionedStats>>>;
+type Stripe = RwLock<FxHashMap<ColumnKey, Slot>>;
+
+/// One column's entry: its snapshot, its registration, or both (a slot
+/// with neither is removed).
+#[derive(Debug, Default)]
+struct Slot {
+    snapshot: Option<Arc<VersionedStats>>,
+    registration: Option<Registration>,
+}
+
+/// What [`StatsCatalog::register`] records for a column of a live table.
+#[derive(Debug)]
+struct Registration {
+    /// Reads since registration — the "access frequency" half of refresh
+    /// priority.
+    access: AtomicU64,
+    /// The table's modification counter for this column.
+    mods: ModCounter,
+    /// The table's row count.
+    num_rows: u64,
+}
+
+/// What one [`StatsCatalog::read`] of a registered column sees.
+#[derive(Debug, Clone)]
+pub struct ColumnRead {
+    /// The current snapshot, if statistics have been installed.
+    pub snapshot: Option<Arc<VersionedStats>>,
+    /// Reads of the column since its table was registered, this one
+    /// included.
+    pub accesses: u64,
+    /// Total modifications recorded against the column.
+    pub modifications: u64,
+    /// The registered table's row count.
+    pub num_rows: u64,
+}
 
 impl Default for StatsCatalog {
     fn default() -> Self {
@@ -265,7 +311,61 @@ impl StatsCatalog {
     /// stripe.
     pub fn get(&self, table: &str, column: &str) -> Option<Arc<VersionedStats>> {
         let stripe = self.stripe_of(table, column).read().expect("stripe lock");
-        stripe.get(&(table, column) as &dyn KeyQuery).cloned()
+        stripe.get(&(table, column) as &dyn KeyQuery)?.snapshot.clone()
+    }
+
+    /// Register every column of `table`, replacing an earlier registration
+    /// of a table with the same name: access counts restart at 0 and reads
+    /// follow the new table's modification counters and row count. A
+    /// column the new table lacks is unregistered, but its snapshot stays.
+    pub fn register(&self, table: &Table) {
+        let name = table.name();
+        for stripe in self.stripes.iter() {
+            stripe.write().expect("stripe lock").retain(|key, slot| {
+                if key.table == name && table.column(&key.column).is_none() {
+                    slot.registration = None;
+                }
+                slot.snapshot.is_some() || slot.registration.is_some()
+            });
+        }
+        for column in table.columns() {
+            let registration = Registration {
+                access: AtomicU64::new(0),
+                mods: table.mod_counter(column.name()).expect("the table's own column"),
+                num_rows: table.num_rows(),
+            };
+            let key = ColumnKey { table: name.to_string(), column: column.name().to_string() };
+            let mut stripe = self.stripe_of(name, column.name()).write().expect("stripe lock");
+            stripe.entry(key).or_default().registration = Some(registration);
+        }
+    }
+
+    /// One read of a registered column: bump its access count and return
+    /// its snapshot, modification count and row count, all under one
+    /// stripe read lock. `None` if the column is not registered.
+    pub fn read(&self, table: &str, column: &str) -> Option<ColumnRead> {
+        let stripe = self.stripe_of(table, column).read().expect("stripe lock");
+        let slot = stripe.get(&(table, column) as &dyn KeyQuery)?;
+        let registration = slot.registration.as_ref()?;
+        Some(ColumnRead {
+            snapshot: slot.snapshot.clone(),
+            accesses: registration.access.fetch_add(1, Ordering::Relaxed) + 1,
+            modifications: registration.mods.get(),
+            num_rows: registration.num_rows,
+        })
+    }
+
+    /// Record `count` modifications against a registered column. Returns
+    /// `false` if the column is not registered.
+    pub fn record_modifications(&self, table: &str, column: &str, count: u64) -> bool {
+        let stripe = self.stripe_of(table, column).read().expect("stripe lock");
+        match stripe.get(&(table, column) as &dyn KeyQuery).and_then(|s| s.registration.as_ref()) {
+            Some(registration) => {
+                registration.mods.add(count);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Install freshly built statistics, returning the new snapshot. The
@@ -285,7 +385,8 @@ impl StatsCatalog {
         stats.index();
         let key = ColumnKey { table: stats.table.clone(), column: stats.column.clone() };
         let mut stripe = self.stripe_of(&key.table, &key.column).write().expect("stripe lock");
-        let epoch = stripe.get(&key).map_or(0, |prev| prev.epoch) + 1;
+        let slot = stripe.entry(key).or_default();
+        let epoch = slot.snapshot.as_ref().map_or(0, |prev| prev.epoch) + 1;
         let snapshot = Arc::new(VersionedStats {
             stats,
             epoch,
@@ -294,7 +395,7 @@ impl StatsCatalog {
             mods_validated: AtomicU64::new(mods_at_build),
             accuracy: AccuracyLedger::new(),
         });
-        stripe.insert(key, Arc::clone(&snapshot));
+        slot.snapshot = Some(Arc::clone(&snapshot));
         snapshot
     }
 
@@ -317,16 +418,30 @@ impl StatsCatalog {
         Ok(self.install(stats, mods_at_build, built_at))
     }
 
-    /// Drop a column's statistics. Returns whether anything was removed.
+    /// Drop a column's statistics, keeping its registration. Returns
+    /// whether anything was removed.
     pub fn invalidate(&self, table: &str, column: &str) -> bool {
         let mut stripe = self.stripe_of(table, column).write().expect("stripe lock");
-        stripe.remove(&(table, column) as &dyn KeyQuery).is_some()
+        let key = &(table, column) as &dyn KeyQuery;
+        let Some(slot) = stripe.get_mut(key) else {
+            return false;
+        };
+        let removed = slot.snapshot.take().is_some();
+        if slot.registration.is_none() {
+            stripe.remove(key);
+        }
+        removed
     }
 
     /// Number of stored snapshots (consistent per stripe, not globally —
     /// concurrent installs may land between stripe reads).
     pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.read().expect("stripe lock").len()).sum()
+        self.stripes
+            .iter()
+            .map(|s| {
+                s.read().expect("stripe lock").values().filter(|s| s.snapshot.is_some()).count()
+            })
+            .sum()
     }
 
     /// Whether the catalog holds no snapshots.
@@ -340,7 +455,10 @@ impl StatsCatalog {
         let mut all: Vec<Arc<VersionedStats>> = self
             .stripes
             .iter()
-            .flat_map(|s| s.read().expect("stripe lock").values().cloned().collect::<Vec<_>>())
+            .flat_map(|s| {
+                let stripe = s.read().expect("stripe lock");
+                stripe.values().filter_map(|s| s.snapshot.clone()).collect::<Vec<_>>()
+            })
             .collect();
         all.sort_by(|a, b| {
             (a.stats.table.as_str(), a.stats.column.as_str())
@@ -500,6 +618,111 @@ mod tests {
         let dump = cat.snapshot();
         let names: Vec<&str> = dump.iter().map(|s| s.stats.column.as_str()).collect();
         assert_eq!(names, vec!["a", "b"]);
+    }
+
+    #[test]
+    fn registered_reads_count_accesses_and_follow_the_table() {
+        let t = demo_table(30);
+        let cat = StatsCatalog::new(4);
+        cat.register(&t);
+        let first = cat.read("t", "a").expect("registered");
+        assert!(first.snapshot.is_none(), "registered, nothing installed yet");
+        assert_eq!((first.accesses, first.modifications, first.num_rows), (1, 0, 5000));
+        assert!(cat.read("t", "zzz").is_none() && cat.read("u", "a").is_none(), "unknown names");
+
+        assert!(cat.record_modifications("t", "a", 7));
+        assert!(!cat.record_modifications("t", "zzz", 7));
+        assert_eq!(t.modifications("a"), 7, "the slot bumps the table's own counter");
+        t.record_modifications("a", 3);
+        let mut rng = StdRng::seed_from_u64(31);
+        cat.analyze_and_store(&t, "a", &AnalyzeOptions::full_scan(10), &mut rng, 1)
+            .expect("exists");
+        let read = cat.read("t", "a").expect("registered");
+        assert_eq!(read.snapshot.expect("installed").epoch, 1);
+        assert_eq!((read.accesses, read.modifications), (2, 10));
+    }
+
+    #[test]
+    fn invalidate_keeps_the_registration() {
+        let t = demo_table(32);
+        let cat = StatsCatalog::default();
+        cat.register(&t);
+        let mut rng = StdRng::seed_from_u64(33);
+        cat.analyze_and_store(&t, "a", &AnalyzeOptions::full_scan(10), &mut rng, 1)
+            .expect("exists");
+        assert!(cat.invalidate("t", "a"));
+        assert!(!cat.invalidate("t", "a"), "already gone");
+        assert!(!cat.invalidate("t", "b"), "registered but never installed");
+        assert!(cat.get("t", "a").is_none());
+        let read = cat.read("t", "a").expect("still registered");
+        assert!(read.snapshot.is_none(), "the next read is a miss, not an unknown name");
+        let again = cat
+            .analyze_and_store(&t, "a", &AnalyzeOptions::full_scan(10), &mut rng, 2)
+            .expect("exists");
+        assert_eq!(again.epoch, 1, "invalidation forgets the epoch, as before");
+    }
+
+    #[test]
+    fn len_and_snapshot_ignore_registration_only_slots() {
+        let t = demo_table(34);
+        let cat = StatsCatalog::new(2);
+        cat.register(&t);
+        assert_eq!(cat.len(), 0);
+        assert!(cat.is_empty() && cat.snapshot().is_empty());
+        let mut rng = StdRng::seed_from_u64(35);
+        cat.analyze_and_store(&t, "b", &AnalyzeOptions::full_scan(10), &mut rng, 1)
+            .expect("exists");
+        assert_eq!(cat.len(), 1);
+        let dump = cat.snapshot();
+        assert_eq!(dump.len(), 1);
+        assert_eq!(dump[0].stats.column, "b");
+    }
+
+    #[test]
+    fn unregistered_catalog_serves_get_and_install_only() {
+        let t = demo_table(36);
+        let cat = StatsCatalog::default();
+        let mut rng = StdRng::seed_from_u64(37);
+        cat.analyze_and_store(&t, "a", &AnalyzeOptions::full_scan(10), &mut rng, 1)
+            .expect("exists");
+        assert_eq!(cat.get("t", "a").expect("installed").epoch, 1);
+        assert!(cat.read("t", "a").is_none(), "installed but never registered");
+        assert!(!cat.record_modifications("t", "a", 1));
+        assert!(cat.invalidate("t", "a"));
+        assert!(cat.is_empty());
+    }
+
+    #[test]
+    fn reregistration_resets_access_and_unregisters_dropped_columns() {
+        let t = demo_table(38);
+        let cat = StatsCatalog::default();
+        cat.register(&t);
+        let mut rng = StdRng::seed_from_u64(39);
+        cat.analyze_and_store(&t, "b", &AnalyzeOptions::full_scan(10), &mut rng, 1)
+            .expect("exists");
+        for _ in 0..3 {
+            cat.read("t", "a").expect("registered");
+        }
+        t.record_modifications("a", 100);
+
+        let narrower = Table::builder("t")
+            .column_with_blocking("a", (0..300).collect(), 50, Layout::Random, &mut rng)
+            .build();
+        cat.register(&narrower);
+        let read = cat.read("t", "a").expect("still registered");
+        assert_eq!((read.accesses, read.modifications, read.num_rows), (1, 0, 300));
+        assert!(cat.read("t", "b").is_none(), "dropped column is an unknown name");
+        assert!(cat.get("t", "b").is_some(), "its snapshot stays");
+        assert_eq!(cat.len(), 1);
+        t.record_modifications("a", 50);
+        assert_eq!(cat.read("t", "a").expect("registered").modifications, 0);
+
+        // Registering the wider table again restores the column, snapshot
+        // and all.
+        cat.register(&t);
+        let back = cat.read("t", "b").expect("registered again");
+        assert_eq!(back.snapshot.expect("kept").epoch, 1);
+        assert_eq!(back.accesses, 1);
     }
 
     #[test]

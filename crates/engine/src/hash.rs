@@ -1,14 +1,15 @@
 //! The read path's name hasher: an unkeyed FxHash-style multiply-rotate
 //! over 8-byte words, in place of std's keyed SipHash-1-3.
 //!
-//! An estimate hashes a name four times (the service's table map, the
-//! table's per-column access map, the catalog's stripe choice and the
-//! stripe's own map); at SipHash cost that was a visible share of a
-//! ~250 ns read. An unkeyed hash is safe here because every map it keys
-//! is filled only by trusted registration (`register_table`,
-//! [`StatsCatalog::install`](crate::StatsCatalog::install)), never by
-//! wire input: a client-chosen name can only probe existing entries,
-//! so it cannot flood a map with colliding keys.
+//! An estimate hashes its (table, column) names twice: once to choose
+//! the catalog stripe and once in the stripe's own map; at SipHash cost
+//! that would be a visible share of a ~250 ns read. An unkeyed hash is
+//! safe here because every map it keys is filled only by trusted
+//! registration ([`StatsCatalog::register`](crate::StatsCatalog::register),
+//! [`StatsCatalog::install`](crate::StatsCatalog::install), the
+//! service's `register_table`), never by wire input: a client-chosen
+//! name can only probe existing entries, so it cannot flood a map with
+//! colliding keys.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

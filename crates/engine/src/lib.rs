@@ -66,7 +66,7 @@ pub use analyze::{
     analyze, analyze_resilient, analyze_resilient_traced, analyze_traced, AnalyzeError,
     AnalyzeMode, AnalyzeOptions, ResilientStatistics,
 };
-pub use catalog::{Catalog, ColumnKey, StatsCatalog, VersionedStats, DEFAULT_STRIPES};
+pub use catalog::{Catalog, ColumnKey, ColumnRead, StatsCatalog, VersionedStats, DEFAULT_STRIPES};
 pub use feedback::nudge_counts;
 pub use predicate::Predicate;
 pub use samplehist_core::sampling::{DegradationPolicy, DegradationReport};
@@ -74,4 +74,4 @@ pub use selectivity::{
     estimate_cardinality, estimate_cardinality_batch, estimate_equijoin, CardinalityEstimate,
 };
 pub use stats::{CachedIndex, ColumnStatistics, StatsIndex};
-pub use table::{Column, Table, TableBuilder};
+pub use table::{Column, ModCounter, Table, TableBuilder};

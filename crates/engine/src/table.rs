@@ -11,11 +11,29 @@ use rand::Rng;
 use samplehist_storage::{HeapFile, Layout, DEFAULT_PAGE_BYTES};
 
 /// Per-column modification counters, shared by every clone of a
-/// [`Table`] (an `Arc` inside, so the instance a mutator bumps is the
-/// instance the refresh scheduler reads).
-#[derive(Debug, Default)]
-struct ModCounters {
-    per_column: Vec<AtomicU64>,
+/// [`Table`] (an `Arc`, so the instance a mutator bumps is the instance
+/// the refresh scheduler reads).
+type ModCounters = Arc<[AtomicU64]>;
+
+/// A handle on one column's modification counter: it outlives the
+/// [`Table`] it came from and reads and bumps the same counter as every
+/// clone of that table, without a name lookup.
+#[derive(Debug, Clone)]
+pub struct ModCounter {
+    counters: ModCounters,
+    index: usize,
+}
+
+impl ModCounter {
+    /// Total modifications ever recorded against the column.
+    pub fn get(&self) -> u64 {
+        self.counters[self.index].load(Ordering::Relaxed)
+    }
+
+    /// Record `count` more modifications.
+    pub fn add(&self, count: u64) {
+        self.counters[self.index].fetch_add(count, Ordering::Relaxed);
+    }
 }
 
 /// One column: a name plus its paged storage.
@@ -45,7 +63,7 @@ pub struct Table {
     name: String,
     columns: Vec<Column>,
     num_rows: u64,
-    mods: Arc<ModCounters>,
+    mods: ModCounters,
 }
 
 impl Table {
@@ -74,11 +92,18 @@ impl Table {
         self.columns.iter().find(|c| c.name == name)
     }
 
+    fn position(&self, name: &str) -> Option<usize> {
+        self.columns.iter().position(|c| c.name == name)
+    }
+
     fn column_index(&self, name: &str) -> usize {
-        self.columns
-            .iter()
-            .position(|c| c.name == name)
-            .unwrap_or_else(|| panic!("no column {name:?} in table {:?}", self.name))
+        self.position(name).unwrap_or_else(|| panic!("no column {name:?} in table {:?}", self.name))
+    }
+
+    /// A handle on `column`'s modification counter, or `None` if the
+    /// column does not exist.
+    pub fn mod_counter(&self, column: &str) -> Option<ModCounter> {
+        Some(ModCounter { counters: Arc::clone(&self.mods), index: self.position(column)? })
     }
 
     /// Record `count` inserts/updates/deletes against `column` since its
@@ -93,7 +118,7 @@ impl Table {
     ///
     /// [`analyze`]: crate::analyze
     pub fn record_modifications(&self, column: &str, count: u64) {
-        self.mods.per_column[self.column_index(column)].fetch_add(count, Ordering::Relaxed);
+        self.mods[self.column_index(column)].fetch_add(count, Ordering::Relaxed);
     }
 
     /// Total modifications ever recorded against `column`.
@@ -101,7 +126,7 @@ impl Table {
     /// # Panics
     /// If the column does not exist.
     pub fn modifications(&self, column: &str) -> u64 {
-        self.mods.per_column[self.column_index(column)].load(Ordering::Relaxed)
+        self.mods[self.column_index(column)].load(Ordering::Relaxed)
     }
 }
 
@@ -161,13 +186,11 @@ impl TableBuilder {
     /// If no columns were added.
     pub fn build(self) -> Table {
         assert!(!self.columns.is_empty(), "a table needs at least one column");
-        let mods =
-            ModCounters { per_column: self.columns.iter().map(|_| AtomicU64::new(0)).collect() };
         Table {
             name: self.name,
             num_rows: self.num_rows.expect("columns imply a row count"),
+            mods: self.columns.iter().map(|_| AtomicU64::new(0)).collect(),
             columns: self.columns,
-            mods: Arc::new(mods),
         }
     }
 }
@@ -208,6 +231,12 @@ mod tests {
         t.record_modifications("b", 1);
         assert_eq!(t.modifications("a"), 7, "clones share one counter");
         assert_eq!(clone.modifications("b"), 1);
+
+        let handle = clone.mod_counter("b").expect("column exists");
+        handle.add(4);
+        assert_eq!(handle.get(), 5);
+        assert_eq!(t.modifications("b"), 5, "a handle bumps the shared counter");
+        assert!(t.mod_counter("zzz").is_none());
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * [`StatsService`] answers `estimate_cardinality` / `estimate_equijoin`
 //!   from a lock-striped [`StatsCatalog`], never blocking a read on an
 //!   in-flight ANALYZE (readers clone an `Arc` snapshot; refreshes build
-//!   off-lock and swap the pointer).
+//!   off-lock and swap the pointer). Registering a table registers its
+//!   columns into their catalog slots, so a read is one stripe lookup.
 //! * Staleness is driven by per-column modification counters
 //!   ([`Table::record_modifications`]) through a three-rung escalation
 //!   ladder ([`StalenessPolicy`]): enough churn makes a column *suspect*;

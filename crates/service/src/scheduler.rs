@@ -16,7 +16,6 @@
 //!   wins, ties broken by (table, column) order, so a drain produces the
 //!   same schedule however the jobs were submitted.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -53,21 +52,29 @@ pub enum SubmitOutcome {
 #[derive(Debug)]
 struct SchedState {
     jobs: Vec<RefreshJob>,
+    /// Jobs handed to a worker via [`RefreshScheduler::pop_blocking`] and
+    /// not yet finished ([`RefreshScheduler::job_done`]) — what "idle"
+    /// must wait out besides an empty queue.
+    active: u64,
     shutdown: bool,
+}
+
+impl SchedState {
+    fn idle(&self) -> bool {
+        self.active == 0 && self.jobs.is_empty()
+    }
 }
 
 /// The bounded, coalescing priority queue described in the module docs.
 #[derive(Debug)]
 pub struct RefreshScheduler {
     state: Mutex<SchedState>,
+    /// Signalled on submit and shutdown; workers wait on it for jobs.
     ready: Condvar,
+    /// Signalled when the scheduler turns idle; [`Self::wait_idle`] waits
+    /// on it.
+    idle: Condvar,
     capacity: usize,
-    /// Jobs handed to a worker via [`pop_blocking`] and not yet finished
-    /// ([`job_done`]) — what "idle" must wait out besides an empty queue.
-    ///
-    /// [`pop_blocking`]: RefreshScheduler::pop_blocking
-    /// [`job_done`]: RefreshScheduler::job_done
-    active: AtomicU64,
 }
 
 /// Index of the best runnable job: eligible (`not_before ≤ now`), max
@@ -88,10 +95,10 @@ impl RefreshScheduler {
     /// A scheduler holding at most `capacity` pending jobs (at least 1).
     pub fn new(capacity: usize) -> Self {
         Self {
-            state: Mutex::new(SchedState { jobs: Vec::new(), shutdown: false }),
+            state: Mutex::new(SchedState { jobs: Vec::new(), active: 0, shutdown: false }),
             ready: Condvar::new(),
+            idle: Condvar::new(),
             capacity: capacity.max(1),
-            active: AtomicU64::new(0),
         }
     }
 
@@ -130,7 +137,9 @@ impl RefreshScheduler {
     /// Remove and return the best runnable job at `now`, if any.
     pub fn pop_ready(&self, now: u64) -> Option<RefreshJob> {
         let mut state = self.state.lock().expect("scheduler lock");
-        best_ready(&state.jobs, now).map(|i| state.jobs.swap_remove(i))
+        let job = best_ready(&state.jobs, now).map(|i| state.jobs.swap_remove(i));
+        self.notify_if_idle(&state);
+        job
     }
 
     /// Remove **all** jobs runnable at `now`, sorted by (table, column) —
@@ -146,6 +155,7 @@ impl RefreshScheduler {
                 i += 1;
             }
         }
+        self.notify_if_idle(&state);
         batch.sort_by(|a, b| (&a.table, &a.column).cmp(&(&b.table, &b.column)));
         batch
     }
@@ -175,7 +185,7 @@ impl RefreshScheduler {
             if let Some(i) = best_ready(&state.jobs, now) {
                 // Counted while the queue lock is held, so an observer
                 // never sees "queue empty, nothing active" mid-handoff.
-                self.active.fetch_add(1, Ordering::Relaxed);
+                state.active += 1;
                 return Some(state.jobs.swap_remove(i));
             }
             if let Some(next) = state.jobs.iter().map(|j| j.not_before).min() {
@@ -193,7 +203,7 @@ impl RefreshScheduler {
     ///
     /// [`pop_blocking`]: RefreshScheduler::pop_blocking
     pub fn active(&self) -> u64 {
-        self.active.load(Ordering::Relaxed)
+        self.state.lock().expect("scheduler lock").active
     }
 
     /// Mark one [`pop_blocking`]-popped job finished (after any retry
@@ -201,14 +211,27 @@ impl RefreshScheduler {
     ///
     /// [`pop_blocking`]: RefreshScheduler::pop_blocking
     pub fn job_done(&self) {
-        self.active.fetch_sub(1, Ordering::Relaxed);
+        let mut state = self.state.lock().expect("scheduler lock");
+        state.active -= 1;
+        self.notify_if_idle(&state);
     }
 
     /// No jobs pending **and** none being processed.
     pub fn idle(&self) -> bool {
-        // Order matters: read `active` first so a job that finishes and
-        // re-queues between the two reads shows up in one of them.
-        self.active() == 0 && self.is_empty()
+        self.state.lock().expect("scheduler lock").idle()
+    }
+
+    /// Block until the scheduler is [`idle`](Self::idle): woken by the
+    /// call that empties the queue or finishes the last running job.
+    pub fn wait_idle(&self) {
+        let state = self.state.lock().expect("scheduler lock");
+        drop(self.idle.wait_while(state, |s| !s.idle()).expect("scheduler lock"));
+    }
+
+    fn notify_if_idle(&self, state: &SchedState) {
+        if state.idle() {
+            self.idle.notify_all();
+        }
     }
 
     /// Wake every blocked worker with `None`; pending jobs are dropped.
@@ -309,5 +332,33 @@ mod tests {
         let (first, second) = h.join().expect("worker");
         assert_eq!(first.expect("woken by submit").column, "a");
         assert!(second.is_none(), "woken by shutdown");
+    }
+
+    #[test]
+    fn wait_idle_returns_once_the_last_job_finishes() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let s = RefreshScheduler::new(10);
+        let clock = Clock::real();
+        let finished = AtomicBool::new(false);
+        s.submit(job("t", "a", 1.0, 0));
+        assert!(!s.idle());
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let popped = s.pop_blocking(&clock).expect("queued");
+                assert_eq!(s.active(), 1);
+                std::thread::sleep(Duration::from_millis(20));
+                // A retry resubmits before `job_done`: still not idle.
+                s.submit(popped);
+                s.job_done();
+                let retried = s.pop_blocking(&clock).expect("resubmitted");
+                std::thread::sleep(Duration::from_millis(20));
+                finished.store(true, Ordering::SeqCst);
+                drop(retried);
+                s.job_done();
+            });
+            s.wait_idle();
+            assert!(finished.load(Ordering::SeqCst), "returned before the last job finished");
+            assert!(s.idle());
+        });
     }
 }

@@ -2,7 +2,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Duration;
 
 use samplehist_core::distinct::{DistinctEstimator, FrequencyProfile, Gee};
 use samplehist_core::error::histogram_fractional_error;
@@ -148,9 +147,6 @@ pub struct RefreshTally {
 struct TableEntry {
     table: Table,
     fault: Option<FaultSpec>,
-    /// Per-column read counts — the "access frequency" half of refresh
-    /// priority.
-    access: FxHashMap<String, AtomicU64>,
 }
 
 /// A concurrent statistics service over a lock-striped [`StatsCatalog`].
@@ -173,11 +169,14 @@ struct TableEntry {
 #[derive(Debug)]
 pub struct StatsService {
     config: ServiceConfig,
+    /// Snapshots plus each registered column's access count and
+    /// modification counter: the whole read path.
     catalog: StatsCatalog,
-    /// Registered tables. This map and each entry's `access` map use the
-    /// unkeyed [`FxHashMap`]: both are filled only by
-    /// [`Self::register_table`], so a name arriving from the wire can
-    /// probe existing entries but never insert colliding ones.
+    /// Registered tables, for registration, [`Self::table`] and refresh
+    /// jobs; reads never touch it. The unkeyed [`FxHashMap`] is safe
+    /// because only [`Self::register_table`] fills it, so a name arriving
+    /// from the wire can probe existing entries but never insert
+    /// colliding ones.
     tables: RwLock<FxHashMap<String, Arc<TableEntry>>>,
     scheduler: Arc<RefreshScheduler>,
     clock: Arc<Clock>,
@@ -265,12 +264,19 @@ impl StatsService {
     /// Register (or replace — data drift) a table, optionally behind a
     /// fault-injecting storage schedule. Statistics already in the
     /// catalog stay served until staleness catches up with the new data.
+    ///
+    /// Replacing a table restarts its columns' access counts at 0 and
+    /// judges staleness by the new table's counters; a column the new
+    /// table lacks becomes an unknown name, though its snapshot stays in
+    /// the catalog.
     pub fn register_table(&self, table: Table, fault: Option<FaultSpec>) {
-        let access =
-            table.columns().iter().map(|c| (c.name().to_string(), AtomicU64::new(0))).collect();
         let name = table.name().to_string();
-        let entry = Arc::new(TableEntry { table, fault, access });
-        self.tables.write().expect("tables lock").insert(name, entry);
+        let entry = Arc::new(TableEntry { table, fault });
+        // The catalog registers under the tables lock, so concurrent
+        // registrations of one name leave both maps on the same table.
+        let mut tables = self.tables.write().expect("tables lock");
+        self.catalog.register(&entry.table);
+        tables.insert(name, entry);
     }
 
     /// A handle to a registered table. The clone shares the original's
@@ -285,14 +291,7 @@ impl StatsService {
     /// Record data churn against a registered column (the staleness
     /// signal). Returns `false` if the table or column is unknown.
     pub fn record_modifications(&self, table: &str, column: &str, count: u64) -> bool {
-        let Some(entry) = self.tables.read().expect("tables lock").get(table).cloned() else {
-            return false;
-        };
-        if entry.table.column(column).is_none() {
-            return false;
-        }
-        entry.table.record_modifications(column, count);
-        true
+        self.catalog.record_modifications(table, column, count)
     }
 
     /// Estimate the cardinality of `predicate` on a column, from the
@@ -513,9 +512,7 @@ impl StatsService {
             self.drain(1);
             return;
         }
-        while !self.scheduler.idle() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        self.scheduler.wait_idle();
     }
 
     /// Reads answered from a snapshot.
@@ -612,18 +609,15 @@ impl StatsService {
         out
     }
 
-    /// The read path shared by both estimators: bump access, serve the
-    /// snapshot, queue a refresh on miss or suspicion.
+    /// The read path shared by both estimators: one catalog read bumps
+    /// access and yields the snapshot; queue a refresh on miss or
+    /// suspicion.
     fn lookup(&self, table: &str, column: &str) -> Option<Arc<VersionedStats>> {
-        let Some(entry) = self.tables.read().expect("tables lock").get(table).cloned() else {
+        let Some(read) = self.catalog.read(table, column) else {
             return self.unknown_name_miss();
         };
-        let Some(access) = entry.access.get(column) else {
-            return self.unknown_name_miss();
-        };
-        let accesses = access.fetch_add(1, Ordering::Relaxed) + 1;
         let recorder = samplehist_obs::global();
-        match self.catalog.get(table, column) {
+        match read.snapshot {
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 recorder.counter("service.query.miss", 1);
@@ -634,16 +628,15 @@ impl StatsService {
             Some(snap) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 recorder.counter("service.query.hit", 1);
-                let mods_since =
-                    entry.table.modifications(column).saturating_sub(snap.mods_validated());
-                if self.config.staleness.is_suspect(entry.table.num_rows(), mods_since) {
+                let mods_since = read.modifications.saturating_sub(snap.mods_validated());
+                if self.config.staleness.is_suspect(read.num_rows, mods_since) {
                     self.stale.fetch_add(1, Ordering::Relaxed);
                     recorder.counter("service.query.stale", 1);
-                    let staleness = mods_since as f64 / entry.table.num_rows().max(1) as f64;
+                    let staleness = mods_since as f64 / read.num_rows.max(1) as f64;
                     self.request_refresh(
                         table,
                         column,
-                        staleness * (1.0 + accesses as f64),
+                        staleness * (1.0 + read.accesses as f64),
                         0,
                         self.clock.now(),
                     );

@@ -166,6 +166,129 @@ fn every_read_counts_as_a_hit_or_a_miss() {
     assert_eq!(svc.hits() + svc.misses(), estimates + batches + 2 * joins);
 }
 
+#[test]
+fn reregistration_drops_columns_and_follows_the_new_counters() {
+    let svc = StatsService::new(ServiceConfig {
+        analyze: AnalyzeOptions::full_scan(20),
+        ..ServiceConfig::deterministic(6)
+    });
+    let old = build_table("t", 5_000, 13);
+    svc.register_table(old.clone(), None);
+    svc.refresh_now("t", "uniform").expect("column exists");
+    svc.refresh_now("t", "skewed").expect("column exists");
+    // Churn far past the default 20% threshold on the old table, unread.
+    old.record_modifications("uniform", 10_000);
+
+    let mut rng = StdRng::seed_from_u64(14);
+    let fresh = Table::builder("t")
+        .column_with_blocking("uniform", (0..5_000).collect(), 50, Layout::Random, &mut rng)
+        .build();
+    svc.register_table(fresh.clone(), None);
+
+    // The dropped column is an unknown name: a miss with nothing queued,
+    // while its snapshot stays in the dump.
+    let (hits, misses) = (svc.hits(), svc.misses());
+    assert!(svc.estimate_cardinality("t", "skewed", &Predicate::Le(10)).is_none());
+    assert_eq!(svc.misses(), misses + 1);
+    assert_eq!(svc.hits(), hits);
+    assert_eq!(svc.queue_depth(), 0, "an unknown name queues no refresh");
+    assert!(!svc.record_modifications("t", "skewed", 1), "dropped column is unknown");
+    assert!(svc.dump().contains("t.skewed "), "the dropped column's snapshot stays listed");
+
+    // The kept column serves its old snapshot, judged by the new table's
+    // counter: the old table's churn no longer counts.
+    old.record_modifications("uniform", 10_000);
+    assert!(svc.estimate_cardinality("t", "uniform", &Predicate::Le(10)).is_some());
+    assert_eq!(svc.hits(), hits + 1);
+    assert_eq!(svc.stale_hits(), 0, "a fresh table is not suspect");
+    assert_eq!(svc.queue_depth(), 0);
+    fresh.record_modifications("uniform", 10_000);
+    assert!(svc.estimate_cardinality("t", "uniform", &Predicate::Le(10)).is_some());
+    assert_eq!(svc.stale_hits(), 1, "churn on the new table makes the column suspect");
+    assert_eq!(svc.queue_depth(), 1);
+}
+
+#[test]
+fn reads_racing_reregistration_balance_exactly() {
+    let svc = StatsService::new(ServiceConfig {
+        refresh_threads: 1,
+        analyze: AnalyzeOptions::full_scan(20),
+        ..ServiceConfig::default()
+    });
+    svc.register_table(build_table("t", 2_000, 15), None);
+    svc.refresh_now("t", "uniform").expect("column exists");
+    svc.refresh_now("t", "skewed").expect("column exists");
+    let narrow = |seed: u64| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Table::builder("t")
+            .column_with_blocking("uniform", (0..1_000).collect(), 50, Layout::Random, &mut rng)
+            .build()
+    };
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let lookups: u64 = std::thread::scope(|scope| {
+        // Re-registration flips `t` between two columns and one, so
+        // `t.skewed` keeps switching between a known and an unknown name.
+        let registrar = {
+            let (svc, stop) = (Arc::clone(&svc), Arc::clone(&stop));
+            scope.spawn(move || {
+                let mut round = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    round += 1;
+                    let table =
+                        if round % 2 == 0 { build_table("t", 2_000, round) } else { narrow(round) };
+                    svc.register_table(table, None);
+                    assert!(svc.record_modifications("t", "uniform", 50));
+                    std::thread::yield_now();
+                }
+            })
+        };
+        let readers: Vec<_> = (0..3u64)
+            .map(|r| {
+                let (svc, stop) = (Arc::clone(&svc), Arc::clone(&stop));
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(300 + r);
+                    let mut lookups = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        let column = ["uniform", "skewed", "zzz"][rng.gen_range(0..3usize)];
+                        if rng.gen_bool(0.5) {
+                            let _ = svc.estimate_cardinality("t", column, &Predicate::Le(40));
+                            lookups += 1;
+                        } else {
+                            let _ = svc.estimate_equijoin("t", column, "t", "uniform");
+                            lookups += 2;
+                        }
+                    }
+                    lookups
+                })
+            })
+            .collect();
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        stop.store(true, Ordering::Relaxed);
+        registrar.join().expect("registrar");
+        readers.into_iter().map(|h| h.join().expect("reader")).sum()
+    });
+    svc.wait_idle();
+    assert!(lookups > 0 && svc.hits() > 0 && svc.misses() > 0);
+    assert_eq!(svc.hits() + svc.misses(), lookups, "every lookup is a hit or a miss");
+}
+
+#[test]
+fn wait_idle_returns_after_queued_refreshes_land() {
+    let svc = StatsService::new(ServiceConfig {
+        refresh_threads: 2,
+        analyze: AnalyzeOptions::full_scan(20),
+        ..ServiceConfig::default()
+    });
+    svc.register_table(build_table("t", 20_000, 16), None);
+    assert!(svc.estimate_cardinality("t", "uniform", &Predicate::Le(5)).is_none());
+    assert!(svc.estimate_cardinality("t", "skewed", &Predicate::Le(5)).is_none());
+    svc.wait_idle();
+    assert_eq!(svc.queue_depth(), 0);
+    assert_eq!(svc.tally().completed, 2, "both queued builds finished before wait_idle returned");
+    assert_eq!(svc.catalog().len(), 2);
+}
+
 /// One fully driven deterministic episode; returns the canonical dump.
 fn deterministic_episode(threads: usize) -> String {
     let config = ServiceConfig {
