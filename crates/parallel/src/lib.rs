@@ -40,10 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod pool;
-
-pub use pool::WorkerPool;
-
 use std::sync::OnceLock;
 use std::time::Instant;
 

@@ -23,10 +23,12 @@
 //!   error certificate exceeds the widened Theorem 7 bound pays for a
 //!   full CVB re-ANALYZE.
 //! * Refreshes run on a [`RefreshScheduler`] (bounded queue, priority =
-//!   staleness × access frequency, retry with backoff) drained by a
-//!   [`WorkerPool`] in concurrent mode — or synchronously, on a virtual
-//!   clock with RNG streams keyed by column state, in deterministic mode,
-//!   where a run is bit-identical whatever the thread count.
+//!   staleness × access frequency, retry with backoff), the service's one
+//!   queue and idle signal. In concurrent mode it is drained by
+//!   `refresh_threads` plain named threads that the service spawns and
+//!   joins on drop; in deterministic mode it is drained synchronously, on
+//!   a virtual clock with RNG streams keyed by column state, and a run is
+//!   bit-identical whatever the thread count.
 //! * Estimation accuracy feeds back: execution reports observed
 //!   cardinalities through [`StatsService::record_actual`], each
 //!   snapshot keeps a per-column q-error ledger, and a sustained breach
@@ -38,7 +40,6 @@
 //!
 //! [`StatsCatalog`]: samplehist_engine::StatsCatalog
 //! [`Table::record_modifications`]: samplehist_engine::Table::record_modifications
-//! [`WorkerPool`]: samplehist_parallel::WorkerPool
 
 #![warn(missing_docs)]
 

@@ -1,7 +1,8 @@
 //! [`StatsService`]: the estimation front door plus its refresh machinery.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, Weak};
+use std::thread::JoinHandle;
 
 use samplehist_core::distinct::{DistinctEstimator, FrequencyProfile, Gee};
 use samplehist_core::error::histogram_fractional_error;
@@ -16,7 +17,6 @@ use samplehist_engine::{
     AnalyzeMode, AnalyzeOptions, CachedIndex, CardinalityEstimate, ColumnStatistics, Predicate,
     StatsCatalog, Table, VersionedStats, DEFAULT_STRIPES,
 };
-use samplehist_parallel::WorkerPool;
 use samplehist_storage::{FaultInjectingStorage, FaultSpec, IoStats};
 
 use crate::clock::Clock;
@@ -27,9 +27,10 @@ use crate::staleness::{
 };
 
 std::thread_local! {
-    /// Per-thread probe buffers: refresh workers (and [`StatsService::drain`]'s
-    /// helper threads) probe repeatedly, so the Fisher–Yates permutation
-    /// and sample vectors are reused instead of reallocated per probe.
+    /// Per-thread probe buffers: each `samplehist-refresh-{i}` thread (and
+    /// each of [`StatsService::drain`]'s helper threads) probes
+    /// repeatedly, so the Fisher–Yates permutation and sample vectors
+    /// are reused instead of reallocated per probe.
     /// Probe outcomes are scratch-independent ([`run_probe_with`]), so
     /// thread-locality never perturbs the deterministic mode.
     static PROBE_SCRATCH: std::cell::RefCell<ProbeScratch> =
@@ -42,11 +43,13 @@ pub struct ServiceConfig {
     /// Master seed; every refresh action derives its private RNG stream
     /// from this (see [`rng_stream`]).
     pub seed: u64,
-    /// Background refresh workers in concurrent mode (clamped to ≥ 1);
-    /// ignored in deterministic mode, where [`StatsService::drain`]
-    /// chooses the thread count per call.
+    /// Refresh threads (`samplehist-refresh-{i}`, clamped to ≥ 1) that
+    /// [`StatsService::new`] spawns in concurrent mode, each looping on
+    /// the one refresh queue until the service drops; none in
+    /// deterministic mode, where [`StatsService::drain`] chooses the
+    /// thread count per call.
     pub refresh_threads: usize,
-    /// Deterministic mode: virtual clock, no background workers, refreshes
+    /// Deterministic mode: virtual clock, no refresh threads, refreshes
     /// run only when [`StatsService::drain`] is called — and the outcome
     /// is bit-identical whatever thread count the drain uses.
     pub deterministic: bool,
@@ -56,30 +59,13 @@ pub struct ServiceConfig {
     pub staleness: StalenessPolicy,
     /// Feedback-driven (q-error) staleness trigger.
     pub accuracy: AccuracyPolicy,
-    /// Fault tolerance for refreshes over fault-injecting storage.
-    pub degradation: DegradationPolicy,
-    /// Refresh queue bound; beyond it submissions are rejected & counted.
-    pub queue_capacity: usize,
-    /// Attempts per refresh before giving up (≥ 1).
-    pub max_attempts: u32,
     /// First retry backoff in clock ticks; doubles per attempt.
     pub backoff_base_ticks: u64,
-    /// Lock stripes in the underlying [`StatsCatalog`].
-    pub stripes: usize,
-    /// The escalation ladder's middle rung: when a probe fails, try to
-    /// *patch* the stored histogram from the probe's own sample and
-    /// install it if the patch's held-out error certificate stays within
-    /// the widened Theorem 7 bound — a full re-ANALYZE only runs when it
-    /// doesn't. Off = the pre-ladder binary probe→re-ANALYZE behavior.
-    pub patching: bool,
-    /// Split/merge tuning for the patch rung.
+    /// Split/merge tuning for the patch rung (rung 2 of the ladder: a
+    /// failed probe first tries to patch the stored histogram from its
+    /// own sample). A policy no probe can satisfy, such as
+    /// `min_sample_per_bucket: 1e6`, sends every failed probe to rung 3.
     pub patch: PatchPolicy,
-    /// ST-histogram learning rate for query-feedback tuning: the fraction
-    /// of the worst recorded predicate's estimation error folded into the
-    /// patched bucket counts (0 disables feedback nudging). The nudge is
-    /// applied *before* the patch's held-out validation, so it is covered
-    /// by the same error certificate.
-    pub feedback_damping: f64,
     /// Target-q-error budget for full re-ANALYZE sizing: `Some(q)` makes
     /// every rebuild size its sample so the
     /// [`AccuracyPolicy::quantile`](crate::AccuracyPolicy) of range
@@ -88,6 +74,18 @@ pub struct ServiceConfig {
     /// [`analyze`](Self::analyze). `None` keeps the configured mode.
     pub qerror_budget: Option<f64>,
 }
+
+/// Refresh queue bound; beyond it submissions are rejected and counted.
+const QUEUE_CAPACITY: usize = 1024;
+
+/// Attempts per refresh before it is abandoned as failed.
+const MAX_ATTEMPTS: u32 = 4;
+
+/// ST-histogram learning rate for query-feedback tuning: the fraction of
+/// the worst recorded predicate's estimation error folded into the
+/// patched bucket counts. The nudge is applied *before* the patch's
+/// held-out validation, so it is covered by the same error certificate.
+const FEEDBACK_DAMPING: f64 = 0.5;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -98,14 +96,8 @@ impl Default for ServiceConfig {
             analyze: AnalyzeOptions::adaptive(100),
             staleness: StalenessPolicy::default(),
             accuracy: AccuracyPolicy::default(),
-            degradation: DegradationPolicy::default(),
-            queue_capacity: 1024,
-            max_attempts: 4,
             backoff_base_ticks: 25,
-            stripes: DEFAULT_STRIPES,
-            patching: true,
             patch: PatchPolicy::default(),
-            feedback_damping: 0.5,
             qerror_budget: None,
         }
     }
@@ -125,7 +117,7 @@ impl ServiceConfig {
 pub struct RefreshTally {
     /// Refreshes that ended well (probe pass or successful re-ANALYZE).
     pub completed: u64,
-    /// Refreshes abandoned after `max_attempts` failures.
+    /// Refreshes abandoned after four failed attempts.
     pub failed: u64,
     /// Cross-validation probes run.
     pub probes: u64,
@@ -157,15 +149,14 @@ struct TableEntry {
 /// a bounded priority queue drained by background workers — or by
 /// explicit [`drain`] calls in deterministic mode.
 ///
-/// Constructed as `Arc<StatsService>` ([`StatsService::new`]); background
-/// workers hold only a `Weak` reference between jobs, so dropping the
-/// last user `Arc` shuts the service down (drop it from outside a
-/// refresh worker — in practice: after [`wait_idle`]).
+/// Constructed as `Arc<StatsService>` ([`StatsService::new`]); refresh
+/// threads hold only a `Weak` reference between jobs, so dropping the
+/// last user `Arc` shuts the service down. A refresh still running then
+/// finishes first, and the drop lands on its thread.
 ///
 /// [`estimate_cardinality`]: StatsService::estimate_cardinality
 /// [`estimate_equijoin`]: StatsService::estimate_equijoin
 /// [`drain`]: StatsService::drain
-/// [`wait_idle`]: StatsService::wait_idle
 #[derive(Debug)]
 pub struct StatsService {
     config: ServiceConfig,
@@ -192,12 +183,13 @@ pub struct StatsService {
     patch_rejects: AtomicU64,
     rejected: AtomicU64,
     accuracy_breaches: AtomicU64,
-    pool: Option<WorkerPool>,
+    /// The concurrent mode's refresh threads; empty in deterministic mode.
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl StatsService {
     /// Start a service. In concurrent mode this spawns
-    /// `config.refresh_threads` background workers immediately.
+    /// `config.refresh_threads` refresh threads immediately.
     ///
     /// A `qerror_budget` is resolved here against *both* ends of the
     /// ladder: rung 3 already sizes its re-ANALYZE from it (see
@@ -214,51 +206,55 @@ impl StatsService {
         }
         let clock =
             Arc::new(if config.deterministic { Clock::virtual_at(0) } else { Clock::real() });
-        let scheduler = Arc::new(RefreshScheduler::new(config.queue_capacity));
-        let pool = (!config.deterministic).then(|| WorkerPool::new(config.refresh_threads.max(1)));
-        let svc = Arc::new(Self {
-            catalog: StatsCatalog::new(config.stripes),
-            tables: RwLock::default(),
-            scheduler,
-            clock,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stale: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            probes: AtomicU64::new(0),
-            probe_passes: AtomicU64::new(0),
-            full_reanalyzes: AtomicU64::new(0),
-            patches: AtomicU64::new(0),
-            patch_rejects: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            accuracy_breaches: AtomicU64::new(0),
-            pool,
-            config,
-        });
-        if let Some(pool) = &svc.pool {
-            for _ in 0..pool.threads() {
-                // Workers capture scheduler and clock strongly but the
-                // service only weakly: between jobs no worker pins the
-                // service alive, so the user's last `drop` ends it.
-                let weak = Arc::downgrade(&svc);
-                let scheduler = Arc::clone(&svc.scheduler);
-                let clock = Arc::clone(&svc.clock);
-                pool.submit(move || {
-                    while let Some(job) = scheduler.pop_blocking(&clock) {
-                        let live = weak.upgrade();
-                        if let Some(svc) = &live {
-                            svc.process(job);
-                        }
-                        scheduler.job_done();
-                        if live.is_none() {
-                            break;
-                        }
-                    }
-                });
+        let scheduler = Arc::new(RefreshScheduler::new(QUEUE_CAPACITY));
+        let threads = if config.deterministic { 0 } else { config.refresh_threads.max(1) };
+        Arc::new_cyclic(|weak: &Weak<Self>| {
+            let workers = (0..threads)
+                .map(|i| {
+                    // A worker holds the scheduler and clock strongly but
+                    // the service only weakly: between jobs no worker pins
+                    // the service alive, so the user's last `drop` ends it.
+                    let weak = weak.clone();
+                    let scheduler = Arc::clone(&scheduler);
+                    let clock = Arc::clone(&clock);
+                    std::thread::Builder::new()
+                        .name(format!("samplehist-refresh-{i}"))
+                        .spawn(move || {
+                            while let Some(job) = scheduler.pop_blocking(&clock) {
+                                let live = weak.upgrade();
+                                if let Some(svc) = &live {
+                                    svc.process(job);
+                                }
+                                scheduler.job_done();
+                                if live.is_none() {
+                                    break;
+                                }
+                            }
+                        })
+                        .expect("spawn refresh thread")
+                })
+                .collect();
+            Self {
+                catalog: StatsCatalog::new(DEFAULT_STRIPES),
+                tables: RwLock::default(),
+                scheduler,
+                clock,
+                hits: AtomicU64::new(0),
+                misses: AtomicU64::new(0),
+                stale: AtomicU64::new(0),
+                completed: AtomicU64::new(0),
+                failed: AtomicU64::new(0),
+                probes: AtomicU64::new(0),
+                probe_passes: AtomicU64::new(0),
+                full_reanalyzes: AtomicU64::new(0),
+                patches: AtomicU64::new(0),
+                patch_rejects: AtomicU64::new(0),
+                rejected: AtomicU64::new(0),
+                accuracy_breaches: AtomicU64::new(0),
+                workers,
+                config,
             }
-        }
-        svc
+        })
     }
 
     /// Register (or replace — data drift) a table, optionally behind a
@@ -484,7 +480,7 @@ impl StatsService {
     /// queue.
     pub fn drain(&self, threads: usize) {
         assert!(
-            self.pool.is_none(),
+            self.config.deterministic,
             "drain() drives deterministic services; concurrent ones refresh in the background"
         );
         loop {
@@ -508,7 +504,7 @@ impl StatsService {
     /// Block until the refresh queue is empty and no refresh is running.
     /// In deterministic mode this drains on one thread instead.
     pub fn wait_idle(&self) {
-        if self.pool.is_none() {
+        if self.config.deterministic {
             self.drain(1);
             return;
         }
@@ -753,15 +749,13 @@ impl StatsService {
                     // paid for a Corollary-1-sized sample — try to patch
                     // the stored artifacts from it before paying for a
                     // full CVB re-ANALYZE.
-                    if self.config.patching {
-                        if let Some(patched) = self.try_patch(&entry, &job, &snap, mods_now) {
-                            self.completed.fetch_add(1, Ordering::Relaxed);
-                            recorder.counter("service.refresh.completed", 1);
-                            span.field("outcome", "patched");
-                            span.field("epoch", patched.epoch);
-                            recorder.gauge("service.queue_depth", self.scheduler.len() as f64);
-                            return;
-                        }
+                    if let Some(patched) = self.try_patch(&entry, &job, &snap, mods_now) {
+                        self.completed.fetch_add(1, Ordering::Relaxed);
+                        recorder.counter("service.refresh.completed", 1);
+                        span.field("outcome", "patched");
+                        span.field("epoch", patched.epoch);
+                        recorder.gauge("service.queue_depth", self.scheduler.len() as f64);
+                        return;
                     }
                     // Fall through: rung 3 — drifted beyond repair (or the
                     // patch certificate failed), pay for CVB.
@@ -853,19 +847,17 @@ impl StatsService {
         // artifact and feedback can never smuggle it past the bound.
         let mut histogram = draft.histogram;
         let mut nudged = false;
-        if self.config.feedback_damping > 0.0 {
-            if let Some(worst) = snap.accuracy.worst() {
-                if let Some((lo, hi)) = worst.range {
-                    histogram = nudge_counts(
-                        &histogram,
-                        lo,
-                        hi,
-                        worst.predicted,
-                        worst.actual,
-                        self.config.feedback_damping,
-                    );
-                    nudged = true;
-                }
+        if let Some(worst) = snap.accuracy.worst() {
+            if let Some((lo, hi)) = worst.range {
+                histogram = nudge_counts(
+                    &histogram,
+                    lo,
+                    hi,
+                    worst.predicted,
+                    worst.actual,
+                    FEEDBACK_DAMPING,
+                );
+                nudged = true;
             }
         }
         let error = histogram_fractional_error(&histogram, &validation).max;
@@ -953,7 +945,7 @@ impl StatsService {
                 column,
                 &FaultInjectingStorage::new(file, *spec),
                 &options,
-                &self.config.degradation,
+                &DegradationPolicy::default(),
                 &mut rng,
             )?,
             None => analyze_resilient(
@@ -961,7 +953,7 @@ impl StatsService {
                 column,
                 &Reliable(file),
                 &options,
-                &self.config.degradation,
+                &DegradationPolicy::default(),
                 &mut rng,
             )?,
         };
@@ -970,7 +962,7 @@ impl StatsService {
 
     fn retry_or_fail(&self, mut job: RefreshJob) {
         job.attempt += 1;
-        if job.attempt >= self.config.max_attempts {
+        if job.attempt >= MAX_ATTEMPTS {
             self.failed.fetch_add(1, Ordering::Relaxed);
             samplehist_obs::global().counter("service.refresh.failed", 1);
             return;
@@ -982,9 +974,18 @@ impl StatsService {
 }
 
 impl Drop for StatsService {
-    /// Wake blocked workers so the pool (dropped right after, draining
-    /// its queue) can join them.
+    /// Wake the refresh threads with `None` and join them. When the last
+    /// `Arc` goes at the end of a refresh, this runs on that refresh's
+    /// thread, which is skipped: it exits on its next pop.
     fn drop(&mut self) {
         self.scheduler.shutdown();
+        let me = std::thread::current().id();
+        for worker in self.workers.drain(..) {
+            if worker.thread().id() != me {
+                // A worker that panicked has already been reported by the
+                // panic hook; dropping must not panic a second time.
+                let _ = worker.join();
+            }
+        }
     }
 }

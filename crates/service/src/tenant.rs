@@ -53,10 +53,10 @@ impl TenantRegistry {
     /// own derived seed. In the template, `seed` is the master seed.
     ///
     /// Note the thread math for concurrent templates: every shard
-    /// spawns its own `refresh_threads` workers, so a thousand-tenant
-    /// registry wants either a deterministic template (no workers;
-    /// drive refreshes via [`StatsService::drain`]) or
-    /// `refresh_threads: 1`.
+    /// spawns its own `refresh_threads` OS threads, which live until the
+    /// shard is dropped, so a thousand-tenant registry wants either a
+    /// deterministic template (no threads; drive refreshes via
+    /// [`StatsService::drain`]) or `refresh_threads: 1`.
     pub fn new(template: ServiceConfig) -> Arc<Self> {
         Arc::new(Self { template, tenants: RwLock::new(HashMap::new()) })
     }

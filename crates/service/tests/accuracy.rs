@@ -21,7 +21,8 @@ use samplehist_engine::{AnalyzeOptions, Predicate, Table};
 use samplehist_obs::json::{self, Json};
 use samplehist_obs::prom::validate_exposition;
 use samplehist_service::{
-    accuracy_json, render_metrics, AccuracyPolicy, MetricsServer, ServiceConfig, StatsService,
+    accuracy_json, render_metrics, AccuracyPolicy, MetricsServer, PatchPolicy, ServiceConfig,
+    StatsService,
 };
 use samplehist_storage::Layout;
 
@@ -48,8 +49,10 @@ fn accuracy_config(seed: u64) -> ServiceConfig {
         analyze: AnalyzeOptions::full_scan(40),
         accuracy: AccuracyPolicy { min_observations: 32, ..AccuracyPolicy::default() },
         // This file exercises rung 3 (probe fail → full re-ANALYZE) in
-        // isolation; the patch rung has its own episode in patching.rs.
-        patching: false,
+        // isolation: no probe carries a million build tuples per bucket,
+        // so rung 2 always refuses. The patch rung has its own episode
+        // in patching.rs.
+        patch: PatchPolicy { min_sample_per_bucket: 1e6, ..PatchPolicy::default() },
         ..ServiceConfig::deterministic(seed)
     }
 }

@@ -118,15 +118,6 @@ fn refused_patch_escalates_to_full_reanalyze() {
 }
 
 #[test]
-fn patching_disabled_restores_the_binary_ladder() {
-    let config = ServiceConfig { patching: false, ..ladder_config(42) };
-    let (svc, _) = drift_episode(1, config);
-    let tally = svc.tally();
-    assert_eq!(tally.patches, 0);
-    assert!(tally.full_reanalyzes >= 2, "probe fail goes straight to CVB: {tally:?}");
-}
-
-#[test]
 fn patch_decisions_are_bit_identical_across_thread_counts() {
     let (_, dump_1) = drift_episode(1, ladder_config(7));
     let (_, dump_4) = drift_episode(4, ladder_config(7));
