@@ -54,7 +54,7 @@ fn bench_construction_paths(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs parallel frequency-profile tally over a sorted column.
+/// The frequency-profile tally over a sorted column.
 fn bench_frequency_profile(c: &mut Criterion) {
     use samplehist_core::distinct::FrequencyProfile;
 
@@ -62,12 +62,54 @@ fn bench_frequency_profile(c: &mut Criterion) {
     for n in [1_000_000u64, 10_000_000] {
         let data = sorted_zipf(n);
         group.throughput(Throughput::Elements(n));
-        group.bench_with_input(BenchmarkId::new("serial", n), &data, |b, d| {
-            b.iter(|| FrequencyProfile::from_sorted_sample_threads(1, d))
-        });
-        group.bench_with_input(BenchmarkId::new("default_threads", n), &data, |b, d| {
+        group.bench_with_input(BenchmarkId::new("tally", n), &data, |b, d| {
             b.iter(|| FrequencyProfile::from_sorted_sample(d))
         });
+    }
+    group.finish();
+}
+
+/// `sort_values` against `sort_unstable` on a fresh copy per call: a
+/// permutation of `0..n` and shuffled Zipf(1) take the counting sort
+/// (span ≤ 2n); a 2^40-wide column falls back to `sort_unstable`, so its
+/// row measures what the min/max pass costs.
+fn bench_sort_values(c: &mut Criterion) {
+    use rand::seq::SliceRandom;
+    use rand::Rng;
+    use samplehist_core::histogram::sort_values;
+
+    let mut group = c.benchmark_group("sort_values");
+    group.sample_size(10);
+    for n in [200_000u64, 2_000_000] {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut narrow: Vec<i64> = (0..n as i64).collect();
+        narrow.shuffle(&mut rng);
+        let wide: Vec<i64> = (0..n).map(|_| rng.gen_range(0..1i64 << 40)).collect();
+        group.throughput(Throughput::Elements(n));
+        for (shape, data) in [("uniform", narrow), ("zipf", unsorted_zipf(n)), ("wide", wide)] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("{shape}/sort_values"), n),
+                &data,
+                |b, d| {
+                    b.iter(|| {
+                        let mut v = d.clone();
+                        sort_values(&mut v);
+                        v
+                    })
+                },
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("{shape}/sort_unstable"), n),
+                &data,
+                |b, d| {
+                    b.iter(|| {
+                        let mut v = d.clone();
+                        v.sort_unstable();
+                        v
+                    })
+                },
+            );
+        }
     }
     group.finish();
 }
@@ -148,7 +190,7 @@ fn bench_recount_and_estimate(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_construction, bench_construction_paths, bench_frequency_profile,
+    targets = bench_construction, bench_construction_paths, bench_frequency_profile, bench_sort_values,
         bench_codec_and_maintenance, bench_recount_and_estimate
 }
 criterion_main!(benches);

@@ -140,8 +140,14 @@ fn check_event(
             let id = require_u64(obj, "id")?;
             require_str(obj, "name")?;
             require_u64(obj, "dur_ns")?;
-            if !matches!(obj.get("fields"), Some(Json::Obj(_))) {
+            let Some(fields @ Json::Obj(_)) = obj.get("fields") else {
                 return Err("\"fields\" must be an object".into());
+            };
+            // ANALYZE's sort says whether it took the counting sort.
+            if obj.get("name").and_then(Json::as_str) == Some("analyze.sort")
+                && fields.get("counting").and_then(Json::as_bool).is_none()
+            {
+                return Err("analyze.sort span without a boolean \"counting\" field".into());
             }
             if !open.remove(&id) {
                 return Err(format!("span id {id} ended without starting"));

@@ -13,9 +13,8 @@
 //! (the `auto` rows: radix with skew-aware slice refinement whenever
 //! `selection_profitable`, otherwise sort). Every timed call is asserted
 //! byte-identical to the sort-path reference. A last section times the
-//! frequency-profile tally of a sorted duplicate-heavy column, serial vs
-//! the default thread budget, on at least `PROFILE_FORK_MIN_LEN` values
-//! (its `values` field) so the parallel lane forks. Each repetition runs
+//! frequency-profile tally of the sorted duplicate-heavy column (one
+//! serial pass; it has no thread budget). Each repetition runs
 //! enough calls to last [`MIN_REP`], so sub-millisecond rows are not
 //! limited by the timer,
 //! and the sort and auto routes alternate repetitions, so each
@@ -224,9 +223,7 @@ fn check_file(path: &str) -> Result<(), String> {
         check_row(row).map_err(|e| format!("rows[{i}]: {e}"))?;
     }
     let prof = obj.get("frequency_profile").ok_or("missing \"frequency_profile\" section")?;
-    require_u64(prof, "values")?;
-    require_positive_f64(prof, "serial_seconds")?;
-    require_positive_f64(prof, "parallel_seconds")?;
+    require_positive_f64(prof, "seconds")?;
     println!("{path}: OK — {} rows", rows.len());
     Ok(())
 }
@@ -398,25 +395,15 @@ fn main() -> ExitCode {
         |_, ()| {},
     )[0]);
 
-    // -- Frequency profile: serial vs parallel tally of the sorted column,
-    // at least `PROFILE_FORK_MIN_LEN` values long so the parallel lane
-    // really forks.
-    let profile_n = n.max(parallel::PROFILE_FORK_MIN_LEN);
-    let mut sorted = if profile_n == n { uniform } else { uniform_dup(profile_n, 0x5A17) };
+    // -- Frequency profile: the run tally of the sorted column.
+    let mut sorted = uniform;
     sorted.sort_unstable();
-    let serial = FrequencyProfile::from_sorted_sample_threads(1, &sorted);
-    let times = time_routes(
-        &mut [&mut || FrequencyProfile::from_sorted_sample_threads(1, &sorted), &mut || {
-            FrequencyProfile::from_sorted_sample(&sorted)
-        }],
-        |_, p| assert_eq!(p, serial, "parallel profile must be bit-identical to serial"),
-    );
-    let (serial_prof_s, par_prof_s) = (min(&times[0]), min(&times[1]));
-    println!(
-        "frequency profile ({profile_n} values): serial {:.3} ms vs {threads}-thread {:.3} ms",
-        serial_prof_s * 1e3,
-        par_prof_s * 1e3
-    );
+    let reference = FrequencyProfile::from_sorted_sample(&sorted);
+    let profile_s =
+        min(&time_routes(&mut [&mut || FrequencyProfile::from_sorted_sample(&sorted)], |_, p| {
+            assert_eq!(p, reference, "the profile must repeat exactly")
+        })[0]);
+    println!("frequency profile ({n} values): {:.3} ms", profile_s * 1e3);
 
     let mut row_json = String::new();
     for (i, r) in rows.iter().enumerate() {
@@ -451,9 +438,7 @@ fn main() -> ExitCode {
             "{rows}",
             "  ],\n",
             "  \"frequency_profile\": {{\n",
-            "    \"values\": {pn},\n",
-            "    \"serial_seconds\": {sp:.6},\n",
-            "    \"parallel_seconds\": {pp:.6}\n",
+            "    \"seconds\": {profile:.6}\n",
             "  }}\n",
             "}}\n"
         ),
@@ -465,9 +450,7 @@ fn main() -> ExitCode {
         auto_route = auto_route,
         clone = clone_s,
         rows = row_json,
-        pn = profile_n,
-        sp = serial_prof_s,
-        pp = par_prof_s,
+        profile = profile_s,
     );
     std::fs::write(OUT_PATH, &json).expect("write BENCH_pipeline.json");
     println!("wrote {OUT_PATH}");

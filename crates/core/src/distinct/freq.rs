@@ -7,8 +7,6 @@
 //! value hundreds of thousands of times into a sample while only a handful
 //! of multiplicities actually occur.
 
-use samplehist_parallel::PROFILE_FORK_MIN_LEN;
-
 /// Sparse frequency-of-frequencies profile of one sample.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrequencyProfile {
@@ -21,43 +19,16 @@ pub struct FrequencyProfile {
 }
 
 impl FrequencyProfile {
-    /// Build the profile of a **sorted** sample.
-    ///
-    /// Samples of at least [`PROFILE_FORK_MIN_LEN`] values are profiled
-    /// chunk-parallel: the sample is cut at run-aligned boundaries (a
-    /// boundary never splits a run of equal values, so every run is
-    /// counted whole by exactly one chunk), each
-    /// chunk's run lengths are tallied independently, and the per-chunk
-    /// multiplicity maps are merged in chunk order. The result is
-    /// bit-identical to the serial tally at any thread count.
+    /// Build the profile of a **sorted** sample: one serial pass that
+    /// gallops from run to run, tallying multiplicities below 64 in a
+    /// dense array.
     ///
     /// # Panics
     /// If the sample is empty or not sorted.
     pub fn from_sorted_sample(sorted: &[i64]) -> Self {
-        Self::from_sorted_sample_threads(samplehist_parallel::num_threads(), sorted)
-    }
-
-    /// [`Self::from_sorted_sample`] with an explicit thread budget
-    /// (`threads <= 1` runs serially) — used by the determinism tests.
-    pub fn from_sorted_sample_threads(threads: usize, sorted: &[i64]) -> Self {
         assert!(!sorted.is_empty(), "cannot profile an empty sample");
         debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "sample must be sorted");
-
-        let by_multiplicity = if threads <= 1 || sorted.len() < PROFILE_FORK_MIN_LEN {
-            tally_runs(sorted)
-        } else {
-            let segments = run_aligned_segments(sorted, threads);
-            let partials =
-                samplehist_parallel::par_map_threads(threads, &segments, |seg| tally_runs(seg));
-            let mut merged = std::collections::BTreeMap::new();
-            for partial in partials {
-                for (j, f) in partial {
-                    *merged.entry(j).or_insert(0) += f;
-                }
-            }
-            merged
-        };
-        let freqs: Vec<(u64, u64)> = by_multiplicity.into_iter().collect();
+        let freqs = tally_runs(sorted);
         let sample_size = freqs.iter().map(|&(j, f)| j * f).sum();
         let distinct = freqs.iter().map(|&(_, f)| f).sum();
         debug_assert_eq!(sample_size, sorted.len() as u64);
@@ -163,88 +134,54 @@ impl FrequencyProfile {
     }
 }
 
-/// Run lengths of a sorted slice → multiplicity → count-of-runs map.
-fn tally_runs(sorted: &[i64]) -> std::collections::BTreeMap<u64, u64> {
-    let mut by_multiplicity = std::collections::BTreeMap::new();
-    let mut i = 0usize;
-    while i < sorted.len() {
-        let v = sorted[i];
-        let start = i;
-        while i < sorted.len() && sorted[i] == v {
-            i += 1;
-        }
-        *by_multiplicity.entry((i - start) as u64).or_insert(0) += 1;
-    }
-    by_multiplicity
-}
+/// Multiplicities below this are tallied in a dense array; only longer
+/// runs, of which a sample holds few, go through a map.
+const DENSE_MULTIPLICITIES: usize = 64;
 
-/// Cut `sorted` into at most `pieces` contiguous segments whose boundaries
-/// never split a run of equal values. Boundaries depend only on the data
-/// and `pieces` — not on scheduling — so parallel profiling stays
-/// deterministic.
-fn run_aligned_segments(sorted: &[i64], pieces: usize) -> Vec<&[i64]> {
-    let mut segments = Vec::with_capacity(pieces);
-    let target = sorted.len().div_ceil(pieces.max(1));
+/// Run lengths of a sorted slice → `(multiplicity, count of runs)`,
+/// ascending in multiplicity.
+fn tally_runs(sorted: &[i64]) -> Vec<(u64, u64)> {
+    let mut dense = [0u64; DENSE_MULTIPLICITIES];
+    let mut long = std::collections::BTreeMap::new();
+    // Singletons, the commonest run, count in a register rather than
+    // through `dense[1]`'s load-add-store chain.
+    let mut singletons = 0u64;
     let mut start = 0usize;
     while start < sorted.len() {
-        let mut end = (start + target).min(sorted.len());
-        if end < sorted.len() {
-            // Push the cut to the end of the run containing it.
-            let run_value = sorted[end - 1];
-            end += sorted[end..].partition_point(|&v| v == run_value);
+        let end = run_end(sorted, start);
+        match end - start {
+            1 => singletons += 1,
+            len if len < DENSE_MULTIPLICITIES => dense[len] += 1,
+            len => *long.entry(len as u64).or_insert(0) += 1,
         }
-        segments.push(&sorted[start..end]);
         start = end;
     }
-    segments
+    dense[1] = singletons;
+    let short = (1..DENSE_MULTIPLICITIES).filter(|&j| dense[j] > 0).map(|j| (j as u64, dense[j]));
+    short.chain(long).collect()
+}
+
+/// End of the run of equal values starting at `start`: gallop past it in
+/// steps 1, 2, 4, …, then binary-search the last step. A singleton costs
+/// one comparison, a run of length `m` O(log m).
+fn run_end(sorted: &[i64], start: usize) -> usize {
+    let v = sorted[start];
+    if sorted.get(start + 1) != Some(&v) {
+        return start + 1;
+    }
+    let mut step = 2usize;
+    while sorted.get(start + step) == Some(&v) {
+        step *= 2;
+    }
+    // `sorted[start + step / 2]` is `v`; the run ends by `start + step`.
+    let lo = start + step / 2 + 1;
+    let hi = (start + step).min(sorted.len());
+    lo + sorted[lo..hi].partition_point(|&x| x == v)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_profile_is_bit_identical_to_serial() {
-        // Skewed sorted data with runs that straddle naive chunk cuts,
-        // long enough that the tally forks.
-        let prom = crate::histogram::test_recording();
-        let mut sorted: Vec<i64> = Vec::new();
-        let mut x = 0x1234_5678u64 | 1;
-        let mut v = 0i64;
-        while sorted.len() < PROFILE_FORK_MIN_LEN {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let run = 1 + (x % 19) * (x % 7) * (x % 1009) / 37;
-            sorted.extend(std::iter::repeat(v).take(run as usize));
-            v += 1;
-        }
-        let serial = FrequencyProfile::from_sorted_sample_threads(1, &sorted);
-        let forks = || prom.counter_value("parallel.par_map.calls").unwrap_or(0);
-        for threads in [2, 3, 4, 7, 8, 64] {
-            let before = forks();
-            assert_eq!(
-                FrequencyProfile::from_sorted_sample_threads(threads, &sorted),
-                serial,
-                "threads={threads}"
-            );
-            assert!(forks() > before, "threads={threads}: the tally must fork");
-        }
-    }
-
-    #[test]
-    fn run_aligned_segments_never_split_runs() {
-        let sorted = vec![1i64, 1, 1, 2, 2, 3, 3, 3, 3, 3, 4];
-        for pieces in 1..=8 {
-            let segs = run_aligned_segments(&sorted, pieces);
-            assert_eq!(segs.iter().map(|s| s.len()).sum::<usize>(), sorted.len());
-            for pair in segs.windows(2) {
-                let (a, b) = (pair[0], pair[1]);
-                assert!(!a.is_empty() && !b.is_empty());
-                assert_ne!(a.last(), b.first(), "pieces={pieces} split a run");
-            }
-        }
-    }
 
     #[test]
     #[should_panic(expected = "empty sample")]

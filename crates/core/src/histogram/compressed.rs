@@ -10,6 +10,9 @@
 //! Range and equality estimation then answer from both parts, through a
 //! [`CompressedIndex`](super::CompressedIndex).
 
+use std::ops::Range;
+
+use super::count_le;
 use super::equi_height::EquiHeightHistogram;
 
 /// A compressed k-histogram: exact singleton buckets for values with
@@ -31,7 +34,8 @@ impl CompressedHistogram {
     /// Values with multiplicity strictly greater than `n/k` become
     /// singleton buckets (at most `k − 1` of them, so the residual always
     /// keeps at least one bucket); the residual gets the remaining
-    /// `k − #high` buckets.
+    /// `k − #high` buckets. O(k log n) after the sort: the residual is read
+    /// through rank arithmetic over `sorted`, never copied.
     ///
     /// # Panics
     /// If `sorted` is empty, unsorted, or `k == 0`.
@@ -41,40 +45,13 @@ impl CompressedHistogram {
         debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input must be sorted");
 
         let n = sorted.len() as u64;
-        let threshold = n as f64 / k as f64;
-
-        // Collect runs above the threshold. There can be at most k−1 of
-        // them: k values each with multiplicity strictly above n/k would
-        // together exceed n. So the residual is always left ≥ 1 bucket.
-        let mut runs: Vec<(i64, u64)> = Vec::new();
-        let mut i = 0usize;
-        while i < sorted.len() {
-            let v = sorted[i];
-            let start = i;
-            while i < sorted.len() && sorted[i] == v {
-                i += 1;
-            }
-            let c = (i - start) as u64;
-            if c as f64 > threshold {
-                runs.push((v, c));
-            }
-        }
-        debug_assert!(runs.len() < k, "pigeonhole: at most k-1 values exceed n/k");
-
-        let residual_k = k - runs.len();
-        let residual_values: Vec<i64> = if runs.is_empty() {
-            sorted.to_vec()
-        } else {
-            sorted
-                .iter()
-                .copied()
-                .filter(|v| runs.binary_search_by_key(v, |&(hv, _)| hv).is_err())
-                .collect()
-        };
-        let residual = (!residual_values.is_empty())
-            .then(|| EquiHeightHistogram::from_sorted(&residual_values, residual_k));
-
-        Self { high_freq: runs, residual, total: n }
+        let heavy = heavy_runs(sorted, n as f64 / k as f64);
+        // At most k−1 runs exceed n/k: k of them would together exceed n.
+        // So the residual is always left ≥ 1 bucket.
+        debug_assert!(heavy.len() < k, "pigeonhole: at most k-1 values exceed n/k");
+        let high_freq = heavy.iter().map(|run| (sorted[run.start], run.len() as u64)).collect();
+        let residual = residual_histogram(sorted, &heavy, k - heavy.len());
+        Self { high_freq, residual, total: n }
     }
 
     /// Build an **approximate** compressed histogram from a sorted random
@@ -99,42 +76,21 @@ impl CompressedHistogram {
 
         let r = sample.len() as u64;
         let scale = population_total as f64 / r as f64;
-        let threshold = r as f64 / k as f64;
-
-        let mut runs: Vec<(i64, u64)> = Vec::new();
-        let mut i = 0usize;
-        while i < sample.len() {
-            let v = sample[i];
-            let start = i;
-            while i < sample.len() && sample[i] == v {
-                i += 1;
-            }
-            let c = (i - start) as u64;
-            if c as f64 > threshold {
-                runs.push((v, (c as f64 * scale).round() as u64));
-            }
-        }
-        debug_assert!(runs.len() < k, "pigeonhole: at most k-1 values exceed r/k");
-
-        let residual_k = k - runs.len();
-        let residual_sample: Vec<i64> = if runs.is_empty() {
-            sample.to_vec()
-        } else {
-            sample
-                .iter()
-                .copied()
-                .filter(|v| runs.binary_search_by_key(v, |&(hv, _)| hv).is_err())
-                .collect()
-        };
-        let heavy_total: u64 = runs.iter().map(|&(_, c)| c).sum();
+        let heavy = heavy_runs(sample, r as f64 / k as f64);
+        debug_assert!(heavy.len() < k, "pigeonhole: at most k-1 values exceed r/k");
+        let high_freq: Vec<(i64, u64)> = heavy
+            .iter()
+            .map(|run| (sample[run.start], (run.len() as f64 * scale).round() as u64))
+            .collect();
+        let heavy_total: u64 = high_freq.iter().map(|&(_, c)| c).sum();
+        let residual_len = sample.len() - heavy.iter().map(Range::len).sum::<usize>();
         let residual_total = population_total.saturating_sub(heavy_total).max(
-            residual_sample.len() as u64, // never claim fewer than observed
+            residual_len as u64, // never claim fewer than observed
         );
-        let residual = (!residual_sample.is_empty()).then(|| {
-            EquiHeightHistogram::from_sorted_sample(&residual_sample, residual_k, residual_total)
-        });
+        let residual = residual_histogram(sample, &heavy, k - heavy.len())
+            .map(|h| h.scaled_to(residual_total));
 
-        Self { high_freq: runs, residual, total: population_total }
+        Self { high_freq, residual, total: population_total }
     }
 
     /// Build from **unsorted** data with a budget of `k` buckets total:
@@ -198,6 +154,78 @@ impl CompressedHistogram {
     pub fn buckets_used(&self) -> usize {
         self.high_freq.len() + self.residual.as_ref().map_or(0, |h| h.num_buckets())
     }
+}
+
+/// The index ranges of the runs of equal values in `sorted` longer than
+/// `threshold`, ascending.
+///
+/// Only positions that are multiples of `stride = max(1, ⌊threshold⌋)`
+/// are probed: a run longer than the threshold spans more than `stride`
+/// positions, so it covers one of them, and two binary searches find its
+/// bounds. A threshold of `n/k` makes this O(k log n).
+pub(super) fn heavy_runs(sorted: &[i64], threshold: f64) -> Vec<Range<usize>> {
+    let stride = (threshold.floor() as usize).max(1);
+    let mut runs = Vec::new();
+    let (mut probe, mut searched) = (0usize, 0usize);
+    while probe < sorted.len() {
+        let v = sorted[probe];
+        let start = searched + sorted[searched..probe].partition_point(|&x| x < v);
+        let end = probe + sorted[probe..].partition_point(|&x| x <= v);
+        if (end - start) as f64 > threshold {
+            runs.push(start..end);
+        }
+        searched = end;
+        probe = end.div_ceil(stride) * stride;
+    }
+    runs
+}
+
+/// `sorted` without the `heavy` runs (ascending, disjoint index ranges),
+/// copied gap by gap.
+pub(super) fn without_runs(sorted: &[i64], heavy: &[Range<usize>]) -> Vec<i64> {
+    let mut rest = Vec::with_capacity(sorted.len() - heavy.iter().map(Range::len).sum::<usize>());
+    let mut from = 0;
+    for run in heavy {
+        rest.extend_from_slice(&sorted[from..run.start]);
+        from = run.end;
+    }
+    rest.extend_from_slice(&sorted[from..]);
+    rest
+}
+
+/// The perfect equi-height `k`-histogram of `sorted` without its `heavy`
+/// runs, read in place (`None` when nothing is left): a residual rank
+/// maps to an index of `sorted` by skipping the heavy runs before it, and
+/// a residual `count_le(v)` is the full one minus the heavy mass `≤ v`.
+fn residual_histogram(
+    sorted: &[i64],
+    heavy: &[Range<usize>],
+    k: usize,
+) -> Option<EquiHeightHistogram> {
+    let len = sorted.len() - heavy.iter().map(Range::len).sum::<usize>();
+    if len == 0 {
+        return None;
+    }
+    // Ranks and separators both arrive in non-decreasing order, so one
+    // cursor over the heavy runs serves each accessor.
+    let (mut next, mut skipped) = (0usize, 0usize);
+    let at = |rank: usize| {
+        while heavy.get(next).is_some_and(|run| run.start <= rank + skipped) {
+            skipped += heavy[next].len();
+            next += 1;
+        }
+        sorted[rank + skipped]
+    };
+    let (mut below, mut heavy_le) = (0usize, 0usize);
+    let residual_count_le = |v: i64| {
+        let le = count_le(sorted, v);
+        while heavy.get(below).is_some_and(|run| run.end <= le) {
+            heavy_le += heavy[below].len();
+            below += 1;
+        }
+        (le - heavy_le) as u64
+    };
+    Some(EquiHeightHistogram::from_rank_view(len, k, at, residual_count_le))
 }
 
 #[cfg(test)]
@@ -362,6 +390,40 @@ mod tests {
             for k in [1usize, 2, 3, 10, 40] {
                 let got = CompressedHistogram::from_unsorted(&shuffled, k);
                 assert_eq!(got, CompressedHistogram::from_sorted(&sorted, k), "k={k}");
+            }
+        }
+    }
+
+    /// The patch path's residual (`without_runs` over `heavy_runs`)
+    /// against the run walk and per-element filter it replaces.
+    #[test]
+    fn heavy_runs_and_residual_match_the_run_walk_and_filter() {
+        let mut shapes = vec![skewed_data(), vec![5i64; 100], (0..1000).collect(), vec![1, 2, 3]];
+        let mut ends = vec![0i64; 300];
+        ends.extend(1..50);
+        ends.extend(std::iter::repeat(60).take(200));
+        shapes.push(ends);
+        for sorted in &shapes {
+            for threshold in [0.5, 1.0, 1.5, 3.0, 99.0, 100.0, 250.0, 1e9] {
+                let mut walked = Vec::new();
+                let mut i = 0usize;
+                while i < sorted.len() {
+                    let start = i;
+                    while i < sorted.len() && sorted[i] == sorted[start] {
+                        i += 1;
+                    }
+                    if (i - start) as f64 > threshold {
+                        walked.push(start..i);
+                    }
+                }
+                let heavy = heavy_runs(sorted, threshold);
+                assert_eq!(heavy, walked, "threshold={threshold}");
+                let filtered: Vec<i64> = sorted
+                    .iter()
+                    .copied()
+                    .filter(|v| !walked.iter().any(|run| sorted[run.start] == *v))
+                    .collect();
+                assert_eq!(without_runs(sorted, &heavy), filtered, "threshold={threshold}");
             }
         }
     }

@@ -4,8 +4,8 @@ use std::ops::Bound;
 
 use samplehist_parallel as parallel;
 
-use super::bucket_counts;
 use super::radix;
+use super::{bucket_counts, count_le};
 
 /// An equi-height *k*-histogram (paper Section 2.1).
 ///
@@ -63,16 +63,42 @@ impl EquiHeightHistogram {
         assert!(!sorted.is_empty(), "cannot build a histogram of an empty value set");
         debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input must be sorted");
 
-        let separators = quantile_separators(sorted, k);
-        let counts = bucket_counts(sorted, &separators);
-        let total = sorted.len() as u64;
-        Self {
-            separators,
-            counts,
-            total,
-            min_value: sorted[0],
-            max_value: *sorted.last().expect("non-empty"),
+        Self::from_rank_view(sorted.len(), k, |rank| sorted[rank], |v| count_le(sorted, v) as u64)
+    }
+
+    /// The perfect equi-height k-histogram of a sorted multiset of `len`
+    /// values that is read, not materialized: `at(rank)` returns the value
+    /// of 0-based `rank` and is asked for ranks in non-decreasing order;
+    /// `count_le(v)` counts the values `≤ v`.
+    ///
+    /// Separator `s_j` is the value of 1-based rank `⌈j·len/k⌉`; counts
+    /// are consecutive differences of `count_le` at the separators. This
+    /// is [`Self::from_sorted`]'s rule, shared with the compressed
+    /// histogram's residual, which skips the heavy runs by rank arithmetic
+    /// instead of copying the rest.
+    pub(super) fn from_rank_view(
+        len: usize,
+        k: usize,
+        mut at: impl FnMut(usize) -> i64,
+        mut count_le: impl FnMut(i64) -> u64,
+    ) -> Self {
+        debug_assert!(len > 0 && k > 0);
+        let min_value = at(0);
+        let n = len as u64;
+        let separators: Vec<i64> = (1..k as u64)
+            .map(|j| at((crate::math::div_ceil_u64(j * n, k as u64) - 1) as usize))
+            .collect();
+        let max_value = at(len - 1);
+        let mut counts = Vec::with_capacity(k);
+        let mut prev = 0u64;
+        for &s in &separators {
+            let le = count_le(s);
+            debug_assert!(le >= prev);
+            counts.push(le - prev);
+            prev = le;
         }
+        counts.push(n - prev);
+        Self { separators, counts, total: n, min_value, max_value }
     }
 
     /// Build an **approximate** equi-height k-histogram from a sorted
@@ -183,7 +209,7 @@ impl EquiHeightHistogram {
     /// This histogram of a sample, with its counts scaled up to a
     /// population of `population_total` tuples by largest-remainder
     /// rounding (so they still sum to exactly the new total).
-    fn scaled_to(self, population_total: u64) -> Self {
+    pub(super) fn scaled_to(self, population_total: u64) -> Self {
         let counts = scale_counts_largest_remainder(&self.counts, self.total, population_total);
         Self { counts, total: population_total, ..self }
     }
@@ -332,18 +358,6 @@ fn assert_sample_shape(sample: &[i64], k: usize, population_total: u64) {
         "population ({population_total}) smaller than sample ({})",
         sample.len()
     );
-}
-
-/// Separators of the equi-height k-histogram of `sorted`: the values at
-/// 1-based ranks `⌈j·n/k⌉` for `j = 1 … k−1`.
-fn quantile_separators(sorted: &[i64], k: usize) -> Vec<i64> {
-    let n = sorted.len() as u64;
-    (1..k as u64)
-        .map(|j| {
-            let rank = crate::math::div_ceil_u64(j * n, k as u64); // 1-based, ≥ 1
-            sorted[(rank - 1) as usize]
-        })
-        .collect()
 }
 
 /// Scale `sample_counts` (summing to `r`) to estimates summing to exactly

@@ -25,7 +25,7 @@ use std::fmt;
 use rand::Rng;
 
 use super::bucket_counts;
-use super::compressed::CompressedHistogram;
+use super::compressed::{heavy_runs, without_runs, CompressedHistogram};
 use super::count_le;
 use super::equi_height::{scale_counts_largest_remainder, EquiHeightHistogram};
 use crate::error::histogram_fractional_error;
@@ -507,31 +507,15 @@ fn patch_compressed(
 
     // Heavy runs of the (sorted) build half, same rule and rounding as
     // `CompressedHistogram::from_sorted_sample`.
-    let mut runs: Vec<(i64, u64)> = Vec::new();
-    let mut i = 0usize;
-    while i < build.len() {
-        let v = build[i];
-        let start = i;
-        while i < build.len() && build[i] == v {
-            i += 1;
-        }
-        let c = (i - start) as u64;
-        if c as f64 > threshold {
-            runs.push((v, ((c as f64 * scale).round() as u64).max(1)));
-        }
-    }
-    debug_assert!(runs.len() < k.max(2), "pigeonhole: at most k-1 values exceed r/k");
+    let heavy = heavy_runs(build, threshold);
+    debug_assert!(heavy.len() < k.max(2), "pigeonhole: at most k-1 values exceed r/k");
+    let runs: Vec<(i64, u64)> = heavy
+        .iter()
+        .map(|run| (build[run.start], ((run.len() as f64 * scale).round() as u64).max(1)))
+        .collect();
 
     let residual_k = k.saturating_sub(runs.len()).max(1);
-    let residual_build: Vec<i64> = if runs.is_empty() {
-        build.to_vec()
-    } else {
-        build
-            .iter()
-            .copied()
-            .filter(|v| runs.binary_search_by_key(v, |&(hv, _)| hv).is_err())
-            .collect()
-    };
+    let residual_build = without_runs(build, &heavy);
     let heavy_total: u64 = runs.iter().map(|&(_, c)| c).sum();
     let residual_total = population_total.saturating_sub(heavy_total).max(
         residual_build.len() as u64, // never claim fewer than observed

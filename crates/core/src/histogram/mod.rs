@@ -32,6 +32,7 @@ mod equi_width;
 pub mod index;
 mod maintained;
 mod radix;
+mod sort;
 
 pub use builder::HistogramBuilder;
 pub use compressed::CompressedHistogram;
@@ -42,6 +43,7 @@ pub use maintained::{
     MaintainedHistogram, PatchOutcome, PatchPolicy, PatchRefusal, PatchableStats, PatchedStats,
 };
 pub use radix::selection_profitable;
+pub use sort::sort_values;
 
 /// Number of elements of the **sorted** slice that are `≤ v`.
 ///

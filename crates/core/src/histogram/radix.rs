@@ -152,7 +152,7 @@ fn min_max(threads: usize, values: &[i64]) -> (i64, i64) {
         .expect("non-empty input yields at least one chunk")
 }
 
-fn min_max_chunk(values: &[i64]) -> (i64, i64) {
+pub(super) fn min_max_chunk(values: &[i64]) -> (i64, i64) {
     // Eight independent accumulator lanes break the fold's loop-carried
     // dependency, letting the compiler vectorize/pipeline the scan —
     // this runs once over the full column, so the scalar chain's ~4×

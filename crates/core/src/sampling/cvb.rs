@@ -47,7 +47,7 @@ use super::fallible::{BlockError, Reliable, TryBlockSource};
 use super::schedule::{Schedule, ScheduleContext};
 use crate::bounds::chaudhuri::corollary1_sample_size;
 use crate::error::fractional_max_error;
-use crate::histogram::EquiHeightHistogram;
+use crate::histogram::{sort_values, EquiHeightHistogram};
 
 /// How the cross-validation sample is formed from each round's fresh
 /// blocks (Section 4.2's "twists on this basic strategy").
@@ -468,7 +468,7 @@ pub fn try_run_traced(
             );
             scratch.validation.sort_unstable();
         }
-        scratch.fresh.sort_unstable();
+        sort_values(&mut scratch.fresh);
         let validation = if one_per_block { &scratch.validation } else { &scratch.fresh };
         // Cross-validate the current histogram against the fresh sample
         // (Definition 4's fractional error; reduces to Definition 1 when

@@ -228,24 +228,6 @@ proptest! {
         );
     }
 
-    /// The frequency-profile builder is bit-identical to the serial tally
-    /// for any sorted multiset and thread budget. (These samples stay
-    /// below `PROFILE_FORK_MIN_LEN`, so the tally never forks here; the
-    /// forked tally has a fixed-input test at the threshold in
-    /// `distinct::freq`.)
-    #[test]
-    fn parallel_frequency_profile_equals_serial(
-        data in unsorted_multiset(1..500),
-        threads in 1usize..10,
-    ) {
-        let mut sorted = data;
-        sorted.sort_unstable();
-        prop_assert_eq!(
-            FrequencyProfile::from_sorted_sample_threads(threads, &sorted),
-            FrequencyProfile::from_sorted_sample_threads(1, &sorted)
-        );
-    }
-
     /// The skew-refined radix route (exact sub-resolution: the ±2³² domain
     /// keeps the refinement's sub-shift at zero) is byte-identical to
     /// sort + `from_sorted` on heavy-duplicate multisets at thread budgets

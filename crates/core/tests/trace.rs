@@ -7,7 +7,6 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use samplehist_core::distinct::FrequencyProfile;
 use samplehist_core::histogram::EquiHeightHistogram;
 use samplehist_core::sampling::{
     cvb, CvbConfig, CvbResult, DegradationPolicy, Reliable, SliceBlocks,
@@ -161,14 +160,9 @@ fn enabling_a_recorder_never_changes_results() {
     let source = SliceBlocks::new(&data, 100);
     let config = CvbConfig::theoretical(&source, 20, 0.25, 0.05);
 
-    // Baselines, recording disabled. The histogram column and the
-    // sorted sample (every value twice) are long enough that the
-    // 4-thread runs below fork.
+    // Baselines, recording disabled. The histogram column is long
+    // enough that the 4-thread runs below fork.
     let column = shuffled(samplehist_parallel::RADIX_FORK_MIN_LEN as i64, 5);
-    let mut sorted: Vec<i64> = column.iter().map(|&v| v / 2).collect();
-    sorted.sort_unstable();
-    assert!(sorted.len() >= samplehist_parallel::PROFILE_FORK_MIN_LEN);
-    let profile_bare = FrequencyProfile::from_sorted_sample_threads(1, &sorted);
     let hist_bare = EquiHeightHistogram::from_unsorted_threads(1, &mut column.clone(), 50);
     let mut rng = StdRng::seed_from_u64(21);
     let cvb_bare = traced_cvb(&source, &config, &mut rng, &Recorder::disabled());
@@ -183,8 +177,6 @@ fn enabling_a_recorder_never_changes_results() {
         let hist_traced =
             EquiHeightHistogram::from_unsorted_threads(threads, &mut column.clone(), 50);
         assert_eq!(hist_traced, hist_bare, "traced {threads}-thread radix build must match");
-        let profile_traced = FrequencyProfile::from_sorted_sample_threads(threads, &sorted);
-        assert_eq!(profile_traced, profile_bare, "traced {threads}-thread profile must match");
     }
 
     let mut rng = StdRng::seed_from_u64(21);

@@ -5,7 +5,7 @@ use samplehist_obs::{Recorder, Span};
 
 use samplehist_core::distinct::{DistinctEstimator, FrequencyProfile, Gee};
 use samplehist_core::estimate::duplication_density_from_profile;
-use samplehist_core::histogram::{CompressedHistogram, EquiHeightHistogram};
+use samplehist_core::histogram::{sort_values, CompressedHistogram, EquiHeightHistogram};
 use samplehist_core::sampling::{
     cvb, BlockDraw, CvbConfig, CvbError, DegradationPolicy, DegradationReport, Reliable, Schedule,
     TryBlockSource, ValidationMode,
@@ -253,13 +253,13 @@ fn finish_statistics(
     // Every artifact below reads off one sorted sample, as the paper
     // builds them (Section 5's compressed histogram, Section 6's `f_j`):
     // CVB hands back an already-sorted sample, everything else is sorted
-    // here. The `analyze.sort` span's `route` says which.
+    // here. The `analyze.sort` span's `route` says which, and `counting`
+    // whether `sort_values` took its counting sort (a narrow span).
     let mut sort_span = root.child("analyze.sort");
     sort_span.field("n", sample.len());
     sort_span.field("route", if presorted { "presorted" } else { "sorted" });
-    if !presorted {
-        sample.sort_unstable();
-    }
+    let counting = !presorted && sort_values(&mut sample);
+    sort_span.field("counting", counting);
     sort_span.finish();
 
     let mut build_span = root.child("analyze.build");

@@ -110,30 +110,42 @@ fn adaptive_analyze_trace_contains_the_cvb_rounds() {
     assert!(stats.method.contains("adaptive CVB"));
 }
 
-/// The `analyze.sort` span's `route`: a full scan reads storage order and
-/// sorts it; CVB hands back its merged sample already sorted.
+/// The `analyze.sort` span's `route` and `counting`: a full scan reads
+/// storage order and sorts it, by counting when the column spans at most
+/// twice its length; CVB hands back its merged sample already sorted.
 #[test]
 fn analyze_sort_span_reports_its_route() {
-    for (mode, route) in [
-        (AnalyzeMode::FullScan, "sorted"),
-        (AnalyzeMode::Adaptive { target_f: 0.2, gamma: 0.05 }, "presorted"),
+    let wide = {
+        let mut rng = StdRng::seed_from_u64(8);
+        let values = (0..20_000).map(|i| i * 1_000).collect();
+        Table::builder("orders")
+            .column_with_blocking("amount", values, 100, Layout::Random, &mut rng)
+            .build()
+    };
+    let adaptive = AnalyzeMode::Adaptive { target_f: 0.2, gamma: 0.05 };
+    for (table, mode, route, counting) in [
+        (orders_table(7), AnalyzeMode::FullScan, "sorted", true),
+        (wide, AnalyzeMode::FullScan, "sorted", false),
+        (orders_table(7), adaptive, "presorted", false),
     ] {
         let sink = Arc::new(MemorySink::new());
         let recorder = Recorder::new(sink.clone());
         let opts = AnalyzeOptions { buckets: 20, mode, compressed: false };
         let mut rng = StdRng::seed_from_u64(7);
-        analyze_traced(&orders_table(7), "amount", &opts, &mut rng, &recorder).expect("ok");
-        let routes: Vec<Value> = sink
+        analyze_traced(&table, "amount", &opts, &mut rng, &recorder).expect("ok");
+        let fields: Vec<(Value, Value)> = sink
             .events()
             .into_iter()
             .filter_map(|e| match e {
                 Event::SpanEnd { name: "analyze.sort", fields, .. } => {
-                    fields.into_iter().find(|(key, _)| *key == "route").map(|(_, v)| v)
+                    let get =
+                        |key: &str| fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone());
+                    Some((get("route")?, get("counting")?))
                 }
                 _ => None,
             })
             .collect();
-        assert_eq!(routes, vec![Value::from(route)], "{mode:?}");
+        assert_eq!(fields, vec![(Value::from(route), Value::from(counting))], "{mode:?}");
     }
 }
 

@@ -66,13 +66,6 @@ pub fn num_threads() -> usize {
 /// 0.98–1.38× at 2^20 (the wide column ties) and 1.11–1.81× at 2^21.
 pub const RADIX_FORK_MIN_LEN: usize = 1 << 20;
 
-/// Fewest values a sorted sample must hold before the frequency
-/// profile's run tally forks. A worker keeps only a small
-/// multiplicity map, so this pays earlier than the radix passes: same
-/// host and columns, 2 threads ran 0.52–1.31× as fast at 2^17 values,
-/// 0.93–1.59× at 2^18 and 1.10–1.83× at 2^19.
-pub const PROFILE_FORK_MIN_LEN: usize = 1 << 19;
-
 /// Order-preserving parallel map with the default thread budget.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where

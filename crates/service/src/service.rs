@@ -152,7 +152,8 @@ struct TableEntry {
 /// Constructed as `Arc<StatsService>` ([`StatsService::new`]); refresh
 /// threads hold only a `Weak` reference between jobs, so dropping the
 /// last user `Arc` shuts the service down. A refresh still running then
-/// finishes first, and the drop lands on its thread.
+/// stops at its next rung or before it installs (an ANALYZE in progress
+/// runs to its end first), and the drop lands on its thread.
 ///
 /// [`estimate_cardinality`]: StatsService::estimate_cardinality
 /// [`estimate_equijoin`]: StatsService::estimate_equijoin
@@ -185,6 +186,9 @@ pub struct StatsService {
     accuracy_breaches: AtomicU64,
     /// The concurrent mode's refresh threads; empty in deterministic mode.
     workers: Vec<JoinHandle<()>>,
+    /// This service's own handle: a refresh thread that finds itself
+    /// holding the last strong reference abandons its job.
+    this: Weak<Self>,
 }
 
 impl StatsService {
@@ -252,6 +256,7 @@ impl StatsService {
                 rejected: AtomicU64::new(0),
                 accuracy_breaches: AtomicU64::new(0),
                 workers,
+                this: weak.clone(),
                 config,
             }
         })
@@ -462,7 +467,8 @@ impl StatsService {
         if entry.table.column(column).is_none() {
             return Err(unknown());
         }
-        let snap = self.reanalyze(&entry, column)?;
+        let (stats, mods_at_build) = self.reanalyze(&entry, column)?;
+        let snap = self.catalog.install(stats, mods_at_build, self.clock.now());
         self.completed.fetch_add(1, Ordering::Relaxed);
         self.full_reanalyzes.fetch_add(1, Ordering::Relaxed);
         Ok(snap)
@@ -673,14 +679,30 @@ impl StatsService {
         recorder.gauge("service.queue_depth", self.scheduler.len() as f64);
     }
 
+    /// Has every user dropped the service? True only on a refresh thread
+    /// whose own upgraded handle is the last strong reference: nobody can
+    /// read what the job would install, so it stops.
+    fn abandoned(&self) -> bool {
+        !self.config.deterministic && self.this.strong_count() == 1
+    }
+
     /// One refresh, end to end: probe if a snapshot exists, re-ANALYZE on
-    /// probe failure or miss, retry with backoff on errors.
+    /// probe failure or miss, retry with backoff on errors. An abandoned
+    /// service skips the remaining rungs and the install.
     fn process(&self, job: RefreshJob) {
         let recorder = samplehist_obs::global();
         let mut span = recorder.span("service.refresh");
         span.field("table", job.table.clone());
         span.field("column", job.column.clone());
         span.field("attempt", job.attempt as u64);
+        let abandon = |span: &mut samplehist_obs::Span| {
+            span.field("outcome", "abandoned");
+            recorder.counter("service.refresh.abandoned", 1);
+        };
+        if self.abandoned() {
+            abandon(&mut span);
+            return;
+        }
         let entry = self.tables.read().expect("tables lock").get(&job.table).cloned();
         let Some(entry) = entry else {
             span.field("outcome", "table_gone");
@@ -759,6 +781,10 @@ impl StatsService {
                     }
                     // Fall through: rung 3 — drifted beyond repair (or the
                     // patch certificate failed), pay for CVB.
+                    if self.abandoned() {
+                        abandon(&mut span);
+                        return;
+                    }
                 }
                 ProbeOutcome::Unreadable { blocks_tried } => {
                     span.field("outcome", "probe_unreadable");
@@ -770,7 +796,9 @@ impl StatsService {
         }
 
         match self.reanalyze(&entry, &job.column) {
-            Ok(snap) => {
+            Ok(_) if self.abandoned() => abandon(&mut span),
+            Ok((stats, mods_at_build)) => {
+                let snap = self.catalog.install(stats, mods_at_build, self.clock.now());
                 self.completed.fetch_add(1, Ordering::Relaxed);
                 self.full_reanalyzes.fetch_add(1, Ordering::Relaxed);
                 recorder.counter("service.refresh.completed", 1);
@@ -908,6 +936,10 @@ impl StatsService {
             io: IoStats { pages_read: 0, tuples_read: sample_size },
             index: CachedIndex::default(),
         };
+        if self.abandoned() {
+            span.field("outcome", "abandoned");
+            return None;
+        }
         span.field("outcome", "patched");
         self.patches.fetch_add(1, Ordering::Relaxed);
         recorder.counter("service.refresh.patch", 1);
@@ -916,12 +948,14 @@ impl StatsService {
         Some(self.catalog.install(stats, mods_now, self.clock.now()))
     }
 
-    /// Full ANALYZE outside any catalog lock, then an `Arc`-swap install.
+    /// Full ANALYZE outside any catalog lock. Returns the statistics and
+    /// the modification watermark taken before the scan, for the caller's
+    /// `Arc`-swap install.
     fn reanalyze(
         &self,
         entry: &TableEntry,
         column: &str,
-    ) -> Result<Arc<VersionedStats>, AnalyzeError> {
+    ) -> Result<(ColumnStatistics, u64), AnalyzeError> {
         let table_name = entry.table.name();
         // Watermark *before* the scan: churn arriving mid-ANALYZE counts
         // as staleness against the new snapshot.
@@ -957,7 +991,7 @@ impl StatsService {
                 &mut rng,
             )?,
         };
-        Ok(self.catalog.install(result.stats, mods_at_build, self.clock.now()))
+        Ok((result.stats, mods_at_build))
     }
 
     fn retry_or_fail(&self, mut job: RefreshJob) {

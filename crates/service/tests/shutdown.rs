@@ -3,9 +3,11 @@
 //! The refresh thread holds the service alive until its job ends, so the
 //! service's `Drop` then runs on that refresh thread. It must shut the
 //! queue down and join the *other* refresh threads without joining its
-//! own, which would fail with a deadlock error and panic the worker.
+//! own, which would fail with a deadlock error and panic the worker. The
+//! job itself must not install what nobody can read any more.
 //!
-//! A panic hook is process-global, so this test lives in its own binary.
+//! A panic hook and the global recorder are process-wide, so this test
+//! lives in its own binary.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -14,6 +16,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use samplehist_engine::{AnalyzeOptions, Predicate, Table};
+use samplehist_obs::{PromSink, Recorder};
 use samplehist_service::{ServiceConfig, StatsService};
 use samplehist_storage::Layout;
 
@@ -37,10 +40,21 @@ fn count_service_thread_panics() {
 #[test]
 fn dropping_the_service_mid_refresh_panics_no_refresh_thread() {
     count_service_thread_panics();
+    let prom = Arc::new(PromSink::new());
+    samplehist_obs::set_global(Recorder::with_sinks(vec![prom.clone()]));
+    // Values 3 apart span about 3n, wider than `sort_values` counts
+    // (2n): the full scan pays a comparison sort of 2M rows, which keeps
+    // it running well past the 20 ms wait below.
     let rows = 2_000_000i64;
     let mut rng = StdRng::seed_from_u64(11);
     let table = Table::builder("orders")
-        .column_with_blocking("amount", (0..rows).collect(), 100, Layout::Random, &mut rng)
+        .column_with_blocking(
+            "amount",
+            (0..rows).map(|v| 3 * v).collect(),
+            100,
+            Layout::Random,
+            &mut rng,
+        )
         .build();
     let svc = StatsService::new(ServiceConfig {
         refresh_threads: 2,
@@ -78,4 +92,8 @@ fn dropping_the_service_mid_refresh_panics_no_refresh_thread() {
         "a refresh thread panicked during shutdown: {:?}",
         PANIC_MESSAGES.lock().expect("messages lock")
     );
+    // The scan ended after the last user let go: its statistics were
+    // dropped, not installed into the unreachable catalog.
+    assert_eq!(prom.counter_value("service.refresh.completed"), None, "nothing was installed");
+    assert_eq!(prom.counter_value("service.refresh.abandoned"), Some(1));
 }
