@@ -143,11 +143,14 @@ fn check_event(
             let Some(fields @ Json::Obj(_)) = obj.get("fields") else {
                 return Err("\"fields\" must be an object".into());
             };
-            // ANALYZE's sort says whether it took the counting sort.
-            if obj.get("name").and_then(Json::as_str) == Some("analyze.sort")
-                && fields.get("counting").and_then(Json::as_bool).is_none()
+            // ANALYZE's sort and each CVB round's union sort say whether
+            // they took the counting sort.
+            if let Some(name @ ("analyze.sort" | "cvb.round")) =
+                obj.get("name").and_then(Json::as_str)
             {
-                return Err("analyze.sort span without a boolean \"counting\" field".into());
+                if fields.get("counting").and_then(Json::as_bool).is_none() {
+                    return Err(format!("{name} span without a boolean \"counting\" field"));
+                }
             }
             if !open.remove(&id) {
                 return Err(format!("span id {id} ended without starting"));
@@ -298,14 +301,15 @@ fn run(args: &Args) -> Result<(), String> {
     if !rounds.is_empty() {
         println!();
         println!("CVB rounds:");
-        println!("  round   blocks(total)   r        delta_hat   verdict     time");
+        println!("  round   blocks(total)   r        counting  delta_hat   verdict     time");
         for (fields, dur_ns) in &rounds {
             let get = |k| field(fields, k).map(fmt_value).unwrap_or_else(|| "-".into());
             println!(
-                "  {:<7} {:<15} {:<8} {:<11} {:<11} {}",
+                "  {:<7} {:<15} {:<8} {:<9} {:<11} {:<11} {}",
                 get("round"),
                 get("total_blocks"),
                 get("r"),
+                get("counting"),
                 get("delta_hat"),
                 get("verdict"),
                 fmt_ns(*dur_ns),

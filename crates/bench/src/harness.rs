@@ -18,8 +18,8 @@
 //! ground truth an experiment can see even though the algorithm cannot.
 
 use samplehist_core::error::fractional_max_error;
-use samplehist_core::histogram::EquiHeightHistogram;
-use samplehist_core::sampling::{merge_sorted_into, BlockPermutation, BlockSource};
+use samplehist_core::histogram::{sort_appended, EquiHeightHistogram};
+use samplehist_core::sampling::{BlockPermutation, BlockSource};
 use samplehist_parallel as parallel;
 use samplehist_storage::HeapFile;
 
@@ -182,9 +182,9 @@ pub fn required_sampling(
 }
 
 /// Extend `sample` (kept sorted) with whole blocks until it holds at
-/// least `target` tuples or the permutation is exhausted. The merge
-/// writes into `spare`, which then trades places with `sample`, so the
-/// two buffers are reused from one growth step to the next.
+/// least `target` tuples or the permutation is exhausted. The blocks are
+/// appended to `sample` and sorted into it by `sort_appended`, whose
+/// scratch buffer `spare` is reused from one growth step to the next.
 fn grow_to(
     sample: &mut Vec<i64>,
     spare: &mut Vec<i64>,
@@ -192,25 +192,19 @@ fn grow_to(
     permutation: &mut BlockPermutation,
     file: &HeapFile,
 ) {
-    if sample.len() >= target {
-        return;
-    }
+    let prior = sample.len();
     let b = file.avg_tuples_per_block().max(1.0);
-    let mut fresh: Vec<i64> = Vec::new();
-    while sample.len() + fresh.len() < target {
-        let deficit = target - sample.len() - fresh.len();
-        let want = ((deficit as f64 / b).ceil() as usize).max(1);
-        let ids = permutation.take(want).to_vec();
+    while sample.len() < target {
+        let want = (((target - sample.len()) as f64 / b).ceil() as usize).max(1);
+        let ids = permutation.take(want);
         if ids.is_empty() {
             break;
         }
-        for id in ids {
-            fresh.extend_from_slice(file.block(id));
+        for &id in ids {
+            sample.extend_from_slice(file.block(id));
         }
     }
-    fresh.sort_unstable();
-    merge_sorted_into(sample, &fresh, spare);
-    std::mem::swap(sample, spare);
+    sort_appended(sample, prior, spare);
 }
 
 #[cfg(test)]

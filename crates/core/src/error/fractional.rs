@@ -93,15 +93,42 @@ pub fn fractional_max_error(
     let mut distinct: Vec<i64> = separators.to_vec();
     distinct.dedup();
 
-    let nr = reference_sorted.len() as f64;
-    let no = observed_sorted.len() as f64;
-
     let mut gaps = Vec::with_capacity(distinct.len() + 1);
-    let mut max = 0.0f64;
-    let mut prev_f = 0.0f64;
-    let mut prev_p = 0.0f64;
+    let max = fractional_max_from_counts(
+        &distinct,
+        (|j| count_le(reference_sorted, distinct[j]) as u64, reference_sorted.len() as u64),
+        (|j| count_le(observed_sorted, distinct[j]) as u64, observed_sorted.len() as u64),
+        |gap| gaps.push(gap),
+    );
+    FractionalReport { distinct_separators: distinct, gaps, max }
+}
 
-    let mut push_gap = |upper: Option<i64>, f_cum: f64, p_cum: f64, prev_f: f64, prev_p: f64| {
+/// Definition 4's gap walk over cumulative counts — the one place f′'s
+/// float arithmetic lives, so every caller that feeds it the same counts
+/// gets the same bits.
+///
+/// `distinct` holds the distinct separators `d_1 < … < d_m`; each side is
+/// `(le, total)`, where `le(j)` is that distribution's mass at or below
+/// `distinct[j]` and `total` its whole mass, so its cumulative fraction
+/// there is `le(j) / total`. Calls `on_gap` for each of the `m + 1` gaps
+/// (the `+∞` gap last) and returns the maximum relative gap error (0 if
+/// every gap was skipped).
+pub(crate) fn fractional_max_from_counts(
+    distinct: &[i64],
+    (reference_le, reference_total): (impl Fn(usize) -> u64, u64),
+    (observed_le, observed_total): (impl Fn(usize) -> u64, u64),
+    mut on_gap: impl FnMut(FractionalGap),
+) -> f64 {
+    let nr = reference_total as f64;
+    let no = observed_total as f64;
+    let mut max = 0.0f64;
+    let (mut prev_f, mut prev_p) = (0.0f64, 0.0f64);
+    let cumulative = distinct
+        .iter()
+        .enumerate()
+        .map(|(j, &d)| (Some(d), reference_le(j) as f64 / nr, observed_le(j) as f64 / no));
+    // The +∞ gap: everything above the last distinct separator.
+    for (upper, f_cum, p_cum) in cumulative.chain([(None, 1.0, 1.0)]) {
         let rf = f_cum - prev_f;
         let of = p_cum - prev_p;
         let rel = if rf > 0.0 { Some((rf - of).abs() / rf) } else { None };
@@ -110,25 +137,16 @@ pub fn fractional_max_error(
                 max = e;
             }
         }
-        gaps.push(FractionalGap {
+        on_gap(FractionalGap {
             upper,
             reference_fraction: rf,
             observed_fraction: of,
             relative_error: rel,
         });
-    };
-
-    for &d in &distinct {
-        let f_cum = count_le(reference_sorted, d) as f64 / nr;
-        let p_cum = count_le(observed_sorted, d) as f64 / no;
-        push_gap(Some(d), f_cum, p_cum, prev_f, prev_p);
         prev_f = f_cum;
         prev_p = p_cum;
     }
-    // The +∞ gap: everything above the last distinct separator.
-    push_gap(None, 1.0, 1.0, prev_f, prev_p);
-
-    FractionalReport { distinct_separators: distinct, gaps, max }
+    max
 }
 
 /// Definition 4's fractional max error of a **stored histogram** against a
@@ -157,35 +175,12 @@ pub fn histogram_fractional_error(
     assert!(!observed_sorted.is_empty(), "observed multiset must be non-empty");
     let separators = histogram.separators();
     let counts = histogram.counts();
-    let total = histogram.total() as f64;
-    let no = observed_sorted.len() as f64;
 
-    let mut gaps = Vec::with_capacity(separators.len() + 1);
-    let mut distinct = Vec::new();
-    let mut max = 0.0f64;
-    let mut prev_f = 0.0f64;
-    let mut prev_p = 0.0f64;
-
-    let mut push_gap = |upper: Option<i64>, f_cum: f64, p_cum: f64, prev_f: f64, prev_p: f64| {
-        let rf = f_cum - prev_f;
-        let of = p_cum - prev_p;
-        let rel = if rf > 0.0 { Some((rf - of).abs() / rf) } else { None };
-        if let Some(e) = rel {
-            if e > max {
-                max = e;
-            }
-        }
-        gaps.push(FractionalGap {
-            upper,
-            reference_fraction: rf,
-            observed_fraction: of,
-            relative_error: rel,
-        });
-    };
-
-    // Walk the separators, collapsing runs of equal values into one
-    // distinct separator whose cumulative mass covers every bucket ending
-    // at that value (mirrors `fractional_max_error`'s dedup).
+    // Collapse runs of equal separators into one distinct separator whose
+    // cumulative mass covers every bucket ending at that value (mirrors
+    // `fractional_max_error`'s dedup).
+    let mut distinct = Vec::with_capacity(separators.len());
+    let mut reference_le = Vec::with_capacity(separators.len());
     let mut cum: u64 = 0;
     let mut i = 0;
     while i < separators.len() {
@@ -195,16 +190,18 @@ pub fn histogram_fractional_error(
             i += 1;
         }
         distinct.push(d);
-        let f_cum = cum as f64 / total;
-        let p_cum = count_le(observed_sorted, d) as f64 / no;
-        push_gap(Some(d), f_cum, p_cum, prev_f, prev_p);
-        prev_f = f_cum;
-        prev_p = p_cum;
+        reference_le.push(cum);
     }
-    // The +∞ gap: the last bucket's mass vs everything observed above the
-    // last distinct separator.
-    push_gap(None, 1.0, 1.0, prev_f, prev_p);
 
+    // The +∞ gap compares the last bucket's mass with everything observed
+    // above the last distinct separator.
+    let mut gaps = Vec::with_capacity(distinct.len() + 1);
+    let max = fractional_max_from_counts(
+        &distinct,
+        (|j| reference_le[j], histogram.total()),
+        (|j| count_le(observed_sorted, distinct[j]) as u64, observed_sorted.len() as u64),
+        |gap| gaps.push(gap),
+    );
     FractionalReport { distinct_separators: distinct, gaps, max }
 }
 

@@ -21,12 +21,14 @@
 //!   k-histograms over the same value set.
 //! * [`fractional_max_error`] — Definition 4's generalization of the max
 //!   error to duplicate-valued data with repeated separators; this is the
-//!   metric the adaptive CVB algorithm cross-validates with.
+//!   metric the adaptive CVB algorithm cross-validates with (from rank
+//!   counts, through the same gap walk).
 
 mod fractional;
 mod metrics;
 mod separation;
 
+pub(crate) use fractional::fractional_max_from_counts;
 pub use fractional::{
     fractional_max_error, histogram_fractional_error, FractionalGap, FractionalReport,
 };

@@ -43,7 +43,7 @@ pub use maintained::{
     MaintainedHistogram, PatchOutcome, PatchPolicy, PatchRefusal, PatchableStats, PatchedStats,
 };
 pub use radix::selection_profitable;
-pub use sort::sort_values;
+pub use sort::{sort_appended, sort_values};
 
 /// Number of elements of the **sorted** slice that are `≤ v`.
 ///

@@ -46,8 +46,8 @@ use super::block::{BlockPermutation, BlockSource};
 use super::fallible::{BlockError, Reliable, TryBlockSource};
 use super::schedule::{Schedule, ScheduleContext};
 use crate::bounds::chaudhuri::corollary1_sample_size;
-use crate::error::fractional_max_error;
-use crate::histogram::{sort_values, EquiHeightHistogram};
+use crate::error::fractional_max_from_counts;
+use crate::histogram::{count_le, sort_appended, EquiHeightHistogram};
 
 /// How the cross-validation sample is formed from each round's fresh
 /// blocks (Section 4.2's "twists on this basic strategy").
@@ -210,7 +210,7 @@ impl CvbResult {
 /// 3. repeat:
 ///      draw g_i fresh blocks R_i
 ///      δ_i ← error of partitioning R_i with H_{i-1}'s separators
-///      merge R_i into R; rebuild H_i
+///      append R_i to R and re-sort; rebuild H_i
 ///    until δ_i < f
 /// 4. output H_i
 /// ```
@@ -330,10 +330,11 @@ pub fn try_run(
 
 /// [`try_run`] with an explicit [`Recorder`]: emits a `cvb.run` span with
 /// one `cvb.round` child per doubling round carrying the adaptive loop's
-/// decision record — blocks drawn, accumulated sample size `r`, the
-/// cross-validation error Δ̂ against the target `f`, and the accept/reject
-/// verdict. When a block fails, the trace also carries the degradation
-/// record — a `cvb.blocks_failed` counter per lost block, per-round
+/// decision record — blocks drawn, accumulated sample size `r`, whether
+/// the round's sort counted (`counting`), the cross-validation error Δ̂
+/// against the target `f`, and the accept/reject verdict. When a block
+/// fails, the trace also carries the degradation record — a
+/// `cvb.blocks_failed` counter per lost block, per-round
 /// `failed` / `replaced` / `effective_f` fields, and run-level
 /// `blocks_failed` / `replacements_drawn` / `degraded` / `effective_f`
 /// fields — so traces show exactly what was lost; a run that lost nothing
@@ -368,8 +369,9 @@ pub fn try_run_traced(
     let mut histogram: Option<EquiHeightHistogram> = None;
     let mut converged = false;
     let mut scratch = Scratch::default();
-    // Where each readable block's tuples sit in the (unsorted) fresh
-    // buffer, in draw order: what one-tuple-per-block validation picks from.
+    // Where each readable block's tuples sit in the (still unsorted) tail
+    // of `accumulated`, in draw order: what one-tuple-per-block validation
+    // picks from.
     let mut fresh_spans: Vec<(usize, usize)> = Vec::new();
 
     let mut report = DegradationReport::clean(config.target_f);
@@ -394,10 +396,9 @@ pub fn try_run_traced(
         let planned_blocks = scratch.fresh_ids.len();
         let mut round_span = run_span.child("cvb.round");
 
-        // Collect this round's tuples, replacing failed blocks from the
-        // tail of the permutation while the budget lasts.
-        scratch.fresh.clear();
-        scratch.fresh.reserve((b * planned_blocks as f64) as usize);
+        // Append this round's tuples to the sample, replacing failed blocks
+        // from the tail of the permutation while the budget lasts.
+        let prior = accumulated.len();
         fresh_spans.clear();
         let mut failed_this_round = 0usize;
         let mut replaced_this_round = 0usize;
@@ -407,9 +408,12 @@ pub fn try_run_traced(
             i += 1;
             match source.try_block(id) {
                 Ok(tuples) => {
-                    let start = scratch.fresh.len();
-                    scratch.fresh.extend_from_slice(&tuples);
-                    fresh_spans.push((start, tuples.len()));
+                    // Grow to the round's remaining estimate rather than
+                    // by doubling: the sample is the run's largest buffer.
+                    let rest = (b * (scratch.fresh_ids.len() - i) as f64) as usize;
+                    accumulated.reserve_exact(tuples.len() + rest);
+                    fresh_spans.push((accumulated.len(), tuples.len()));
+                    accumulated.extend_from_slice(&tuples);
                 }
                 Err(err) => {
                     failed_this_round += 1;
@@ -438,9 +442,9 @@ pub fn try_run_traced(
         };
         widest_f = widest_f.max(effective_f);
 
-        if scratch.fresh.is_empty() {
+        if accumulated.len() == prior {
             // Every block of this round was lost; nothing to validate or
-            // merge, but the attempt still counts against the block cap.
+            // sort, but the attempt still counts against the block cap.
             rounds.push(CvbRound {
                 round,
                 new_blocks: 0,
@@ -450,35 +454,52 @@ pub fn try_run_traced(
             });
             round_span.field("round", round);
             round_span.field("new_blocks", 0usize);
+            round_span.field("counting", false);
             round_span.field("failed", failed_this_round);
             round_span.field("verdict", "lost");
             round_span.finish();
             continue;
         }
 
-        // One-tuple-per-block picks need the per-block layout of the fresh
-        // buffer, so they are taken before it is sorted.
-        let one_per_block = config.validation == ValidationMode::OneTuplePerBlock;
-        if one_per_block && histogram.is_some() {
-            scratch.validation.clear();
-            scratch.validation.extend(
-                fresh_spans
-                    .iter()
-                    .map(|&(start, len)| scratch.fresh[start + rng.gen_range(0..len)]),
-            );
-            scratch.validation.sort_unstable();
-        }
-        sort_values(&mut scratch.fresh);
-        let validation = if one_per_block { &scratch.validation } else { &scratch.fresh };
-        // Cross-validate the current histogram against the fresh sample
+        // Cross-validate the current histogram against the fresh tuples
         // (Definition 4's fractional error; reduces to Definition 1 when
-        // values are distinct), before the fresh sample is merged in.
-        let cv_error = histogram
-            .as_ref()
-            .map(|h| fractional_max_error(h.separators(), &accumulated, validation).max);
-
-        merge_sorted_into(&accumulated, &scratch.fresh, &mut scratch.merged);
-        std::mem::swap(&mut accumulated, &mut scratch.merged);
+        // values are distinct). The reference counts `count_le(R, d)` at
+        // the distinct separators are read off the sorted prefix, and
+        // one-tuple-per-block picks off the unsorted tail, before the
+        // union sort rewrites both.
+        let one_per_block = config.validation == ValidationMode::OneTuplePerBlock;
+        if let Some(h) = &histogram {
+            scratch.distinct.clear();
+            scratch.distinct.extend_from_slice(h.separators());
+            scratch.distinct.dedup();
+            let prefix = &accumulated[..prior];
+            scratch.prior_le.clear();
+            scratch.prior_le.extend(scratch.distinct.iter().map(|&d| count_le(prefix, d) as u64));
+            if one_per_block {
+                scratch.validation.clear();
+                scratch.validation.extend(
+                    fresh_spans
+                        .iter()
+                        .map(|&(start, len)| accumulated[start + rng.gen_range(0..len)]),
+                );
+                scratch.validation.sort_unstable();
+            }
+        }
+        let counting = sort_appended(&mut accumulated, prior, &mut scratch.tail);
+        // The fresh tuples' counts are rank differences over the union.
+        let cv_error = histogram.as_ref().map(|_| {
+            let (distinct, prior_le, picks) =
+                (&scratch.distinct, &scratch.prior_le, &scratch.validation);
+            let reference = (|j: usize| prior_le[j], prior as u64);
+            if one_per_block {
+                let observed = (|j| count_le(picks, distinct[j]) as u64, picks.len() as u64);
+                fractional_max_from_counts(distinct, reference, observed, |_| {})
+            } else {
+                let fresh = |j| count_le(&accumulated, distinct[j]) as u64 - prior_le[j];
+                let observed = (fresh, (accumulated.len() - prior) as u64);
+                fractional_max_from_counts(distinct, reference, observed, |_| {})
+            }
+        });
         histogram = Some(EquiHeightHistogram::from_sorted_sample(&accumulated, config.buckets, n));
 
         rounds.push(CvbRound {
@@ -494,6 +515,7 @@ pub fn try_run_traced(
         round_span.field("new_blocks", kept_blocks);
         round_span.field("total_blocks", permutation.drawn());
         round_span.field("r", accumulated.len());
+        round_span.field("counting", counting);
         round_span.field("target_f", config.target_f);
         if failed_this_round > 0 {
             round_span.field("failed", failed_this_round);
@@ -560,40 +582,18 @@ pub fn try_run_traced(
     Ok((result, report))
 }
 
-/// Reusable per-round buffers for the adaptive loop. Without these, every
-/// round of [`try_run`] allocated four vectors (the drawn block ids, the fresh
-/// tuple batch, the one-tuple-per-block validation set, and the merged
-/// accumulated sample); with the doubling schedule that is `O(r)` churn per
-/// round on a sample that only grows. The `merged` buffer double-buffers
-/// against the accumulated sample: [`merge_sorted_into`] writes into it and
-/// a `swap` makes it the new accumulated vector, so the previous round's
-/// allocation is recycled as the next round's merge target.
+/// Reusable per-round buffers for the adaptive loop: the drawn block ids,
+/// the one-tuple-per-block validation set, the union sort's tail copy, and
+/// the current histogram's distinct separators with the sorted prefix's
+/// counts at them. The sample itself is one vector that only grows, so a
+/// round allocates nothing once these have reached their largest size.
 #[derive(Default)]
 struct Scratch {
     fresh_ids: Vec<usize>,
-    fresh: Vec<i64>,
-    merged: Vec<i64>,
     validation: Vec<i64>,
-}
-
-/// Merge two sorted slices (the accumulated sample and a fresh batch) into
-/// `out`, clearing it first. The caller owns `out` so its capacity is
-/// reused across rounds; ties take `a`'s element first.
-pub fn merge_sorted_into(a: &[i64], fresh: &[i64], out: &mut Vec<i64>) {
-    out.clear();
-    out.reserve(a.len() + fresh.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < fresh.len() {
-        if a[i] <= fresh[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(fresh[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&fresh[j..]);
+    tail: Vec<i64>,
+    distinct: Vec<i64>,
+    prior_le: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -609,21 +609,6 @@ mod tests {
         let mut v: Vec<i64> = (0..n).collect();
         v.shuffle(&mut StdRng::seed_from_u64(seed));
         v
-    }
-
-    #[test]
-    fn merge_sorted_basics() {
-        let mut out = Vec::new();
-        merge_sorted_into(&[1, 3, 5], &[2, 4], &mut out);
-        assert_eq!(out, vec![1, 2, 3, 4, 5]);
-        merge_sorted_into(&[], &[1, 2], &mut out);
-        assert_eq!(out, vec![1, 2]);
-        merge_sorted_into(&[1, 2], &[], &mut out);
-        assert_eq!(out, vec![1, 2]);
-        merge_sorted_into(&[1, 1], &[1], &mut out);
-        assert_eq!(out, vec![1, 1, 1]);
-        // Capacity from the largest merge is retained for reuse.
-        assert!(out.capacity() >= 5);
     }
 
     #[test]

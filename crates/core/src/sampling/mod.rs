@@ -30,8 +30,7 @@ pub mod schedule;
 
 pub use block::{BlockDraw, BlockPermutation, BlockSource, SliceBlocks};
 pub use cvb::{
-    merge_sorted_into, CvbConfig, CvbError, CvbResult, CvbRound, DegradationPolicy,
-    DegradationReport, ValidationMode,
+    CvbConfig, CvbError, CvbResult, CvbRound, DegradationPolicy, DegradationReport, ValidationMode,
 };
 pub use double::{DoubleSamplingConfig, DoubleSamplingResult};
 pub use fallible::{BlockError, Reliable, TryBlockSource};

@@ -1,13 +1,15 @@
-//! Oracles for the full-scan build path: `sort_values` against the
-//! standard library's sort, the compressed builders against the
-//! copy-and-filter construction they replace, and the frequency tally
-//! against a map of run lengths.
+//! Oracles for the full-scan build path: `sort_values` and CVB's union
+//! sort `sort_appended` against the standard library's sort, the
+//! compressed builders against the copy-and-filter construction they
+//! replace, and the frequency tally against a map of run lengths.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use samplehist_core::distinct::FrequencyProfile;
-use samplehist_core::histogram::{sort_values, CompressedHistogram, EquiHeightHistogram};
+use samplehist_core::histogram::{
+    sort_appended, sort_values, CompressedHistogram, EquiHeightHistogram,
+};
 
 /// Deterministic value stream for building inputs from a drawn seed.
 fn xorshift(seed: u64) -> impl FnMut() -> u64 {
@@ -76,6 +78,79 @@ proptest! {
         let counting = check_sort(values);
         if shape < 4 {
             prop_assert_eq!(counting, expect_counting);
+        }
+    }
+}
+
+// -- The union sort against `sort_unstable` --------------------------------
+
+/// Sorts `prefix` (the sorted sample so far) followed by `tail` (the
+/// fresh batch, unsorted) with `sort_appended`, checks the union against
+/// `sort_unstable`, and returns whether the counting sort ran.
+fn check_appended(mut prefix: Vec<i64>, tail: &[i64]) -> bool {
+    prefix.sort_unstable();
+    let prior = prefix.len();
+    let mut values = prefix;
+    values.extend_from_slice(tail);
+    let mut expected = values.clone();
+    expected.sort_unstable();
+    // A stale scratch buffer, larger than any tail, must not leak into
+    // the result.
+    let mut scratch = vec![i64::MIN; 3 * tail.len() + 5];
+    let counting = sort_appended(&mut values, prior, &mut scratch);
+    assert_eq!(values, expected, "prior {prior}, tail {tail:?}");
+    counting
+}
+
+#[test]
+fn sort_appended_edge_cases() {
+    let narrow = with_span(500, -100, 400, 5);
+    let wide = with_span(500, -100, 1 << 40, 6);
+    assert!(!check_appended(vec![], &[]));
+    assert!(check_appended(vec![], &narrow), "empty prefix: sort_values on the tail");
+    assert!(!check_appended(vec![], &wide), "empty prefix, wide tail");
+    assert!(!check_appended(narrow.clone(), &[]), "empty tail: nothing to sort");
+    assert!(check_appended(vec![9; 300], &[9; 200]), "all-equal union spans 1");
+    assert!(!check_appended(vec![i64::MIN, 0, i64::MAX], &[i64::MAX, i64::MIN, 1]), "full span");
+    assert!(check_appended(vec![i64::MAX - 2, i64::MAX], &[i64::MAX - 1, i64::MAX]), "top end");
+    assert!(check_appended(vec![i64::MIN, i64::MIN + 1], &[i64::MIN, i64::MIN + 2]), "bottom end");
+    // The union's span, not the prefix's or the tail's, picks the route.
+    let low: Vec<i64> = (0..100).collect();
+    let high: Vec<i64> = (150..250).collect();
+    assert!(check_appended(low.clone(), &high), "union span 250 <= 2n = 400");
+    let far: Vec<i64> = (1_000..1_100).collect();
+    assert!(!check_appended(low.clone(), &far), "tail above the prefix, union span 1100 > 400");
+    let below: Vec<i64> = (-1_100..-1_000).collect();
+    assert!(!check_appended(low.clone(), &below), "tail below the prefix");
+    let straddle: Vec<i64> = (-50..150).step_by(2).chain([-5_000, 5_000]).collect();
+    assert!(!check_appended(low, &straddle), "tail on both sides of the prefix");
+    assert!(!check_appended(wide.clone(), &narrow), "wide prefix, narrow tail: the tail counts");
+    assert!(!check_appended(narrow, &wide), "narrow prefix, wide tail");
+}
+
+proptest! {
+    /// Prefix and tail drawn over the same or disjoint spans around the
+    /// union's `2n` cutoff, including prefixes and tails that are empty or
+    /// hold the i64 extremes: both routes agree with `sort_unstable`.
+    #[test]
+    fn sort_appended_equals_sort_unstable(
+        sizes in (0usize..300, 0usize..300),
+        lo in -1_000_000_000_000i64..1_000_000_000_000,
+        shape in (0u64..5, -2_000i64..2_000, any::<bool>()),
+        seed in any::<u64>(),
+    ) {
+        let ((prior, fresh), (span_per_value, offset, extremes)) = (sizes, shape);
+        let n = (prior + fresh).max(1) as u64;
+        let span = 1 + span_per_value * n / 2;
+        let prefix = with_span(prior, lo, span, seed);
+        let mut tail = with_span(fresh, lo.saturating_add(offset), span, seed ^ 0x9e37);
+        if extremes && fresh > 0 {
+            tail[0] = i64::MIN;
+            tail[fresh - 1] = i64::MAX;
+        }
+        let counting = check_appended(prefix, &tail);
+        if extremes && fresh > 0 {
+            prop_assert!(!counting, "a union holding both extremes never counts");
         }
     }
 }

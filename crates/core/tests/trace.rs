@@ -54,8 +54,9 @@ fn as_str(v: Option<&Value>) -> &str {
 
 /// The golden shape of a CVB trace: exactly one `cvb.round` span per
 /// round in the result log, with 1-based round numbers, strictly
-/// growing block counts, and per-round verdicts that reconstruct the
-/// algorithm's control flow.
+/// growing block counts, a boolean `counting` per round (the last one
+/// true exactly when the final sample spans at most twice its length),
+/// and per-round verdicts that reconstruct the algorithm's control flow.
 #[test]
 fn cvb_trace_has_one_round_span_per_round() {
     let data = shuffled(50_000, 7);
@@ -85,6 +86,14 @@ fn cvb_trace_has_one_round_span_per_round() {
         assert!(total > prev_total, "block counts must grow monotonically");
         prev_total = total;
         assert_eq!(as_u64(field(fields, "r")), round.total_tuples, "r is the accumulated sample");
+        let Some(&Value::Bool(counting)) = field(fields, "counting") else {
+            panic!("round {} has no boolean counting field", i + 1);
+        };
+        if i + 1 == round_fields.len() {
+            let sample = &result.sample_sorted;
+            let span = sample[sample.len() - 1] as i128 - sample[0] as i128 + 1;
+            assert_eq!(counting, span <= 2 * sample.len() as i128, "the last union sort's route");
+        }
         let verdict = as_str(field(fields, "verdict"));
         if i == 0 {
             assert_eq!(verdict, "bootstrap", "round 1 has no histogram to validate");
