@@ -28,9 +28,10 @@ fn sorted_zipf(n: u64) -> Vec<i64> {
     v
 }
 
-/// Sort-vs-radix construction, the pipeline this repo's
-/// `BENCH_pipeline.json` tracks. Every measured path starts
-/// from the same unsorted clone so the comparison is apples-to-apples.
+/// `sort_unstable` then `from_sorted` against `from_unsorted`
+/// (`sort_values` then `from_sorted`), the pair this repo's
+/// `BENCH_pipeline.json` tracks. Every measured path starts from the
+/// same unsorted clone so the comparison is apples-to-apples.
 fn bench_construction_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("construction_path");
     group.sample_size(10);
@@ -137,15 +138,11 @@ fn bench_construction(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_codec_and_maintenance(c: &mut Criterion) {
-    use samplehist_core::histogram::{codec, MaintainedHistogram};
+fn bench_maintenance(c: &mut Criterion) {
+    use samplehist_core::histogram::MaintainedHistogram;
 
     let data = sorted_zipf(1_000_000);
-    let hist = EquiHeightHistogram::from_sorted(&data, 600);
-    let bytes = codec::encode(&hist);
-    let mut group = c.benchmark_group("persistence_and_maintenance");
-    group.bench_function("codec_encode_k600", |b| b.iter(|| codec::encode(&hist)));
-    group.bench_function("codec_decode_k600", |b| b.iter(|| codec::decode(&bytes).expect("valid")));
+    let mut group = c.benchmark_group("maintenance");
     group.bench_function("maintained_insert_10k", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(5);
@@ -191,6 +188,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_construction, bench_construction_paths, bench_frequency_profile, bench_sort_values,
-        bench_codec_and_maintenance, bench_recount_and_estimate
+        bench_maintenance, bench_recount_and_estimate
 }
 criterion_main!(benches);

@@ -268,9 +268,9 @@ fn run(args: &Args) -> Result<(), String> {
     let prom = Arc::new(PromSink::new());
     let memory = Arc::new(MemorySink::new());
     let recorder = Recorder::with_sinks(vec![jsonl.clone(), prom.clone(), memory.clone()]);
-    // Deep layers (radix routing, parallel primitives) report through the
-    // process-global recorder; the pipeline entry point takes the handle
-    // explicitly. Same recorder both ways — one coherent trace.
+    // Deep layers (the storage samplers, parallel primitives) report
+    // through the process-global recorder; the pipeline entry point takes
+    // the handle explicitly. Same recorder both ways — one coherent trace.
     samplehist_obs::set_global(recorder.clone());
 
     let options = AnalyzeOptions { buckets: args.buckets, mode: args.mode, compressed: false };

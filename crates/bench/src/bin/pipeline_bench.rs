@@ -9,15 +9,16 @@
 //! ```
 //!
 //! "Before" is the seed pipeline: clone + full `sort_unstable` +
-//! `from_sorted`. "After" is the shape-routed `from_unsorted_in_place`
-//! (the `auto` rows: radix with skew-aware slice refinement whenever
-//! `selection_profitable`, otherwise sort). Every timed call is asserted
+//! `from_sorted`. "After" is the pipeline ANALYZE runs: clone +
+//! `from_unsorted_in_place`, which sorts with `histogram::sort_values`
+//! (a counting sort when the span is at most `2n`) and then calls
+//! `from_sorted` (the `sort_values` rows). Every timed call is asserted
 //! byte-identical to the sort-path reference. A last section times the
 //! frequency-profile tally of the sorted duplicate-heavy column (one
 //! serial pass; it has no thread budget). Each repetition runs
 //! enough calls to last [`MIN_REP`], so sub-millisecond rows are not
 //! limited by the timer,
-//! and the sort and auto routes alternate repetitions, so each
+//! and the two routes alternate repetitions, so each
 //! `speedup_vs_sort` ratio pairs neighbouring repetitions that saw the
 //! same machine load.
 //! `--check` validates an existing result file against the JSON schema
@@ -33,7 +34,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use samplehist_core::distinct::FrequencyProfile;
-use samplehist_core::histogram::{selection_profitable, EquiHeightHistogram};
+use samplehist_core::histogram::EquiHeightHistogram;
 use samplehist_data::DataSpec;
 use samplehist_obs::json::{self, Json};
 use samplehist_parallel as parallel;
@@ -60,7 +61,7 @@ fn uniform_dup(n: usize, seed: u64) -> Vec<i64> {
     (0..n).map(|_| rng.gen_range(0..domain)).collect()
 }
 
-/// Shuffled Zipf(z = 1): the skewed shape the radix refinement targets.
+/// Shuffled Zipf(z = 1): a few heavy values over a long light tail.
 /// `materialize_exact` emits values grouped and ascending; shuffle so the
 /// unsorted paths don't hand pdqsort a pre-sorted run.
 fn zipf_shuffled(n: usize) -> Vec<i64> {
@@ -127,7 +128,8 @@ struct Row {
     speedup_vs_sort: f64,
 }
 
-/// Equi-height sort vs auto rows for one data shape.
+/// Equi-height sort vs sort_values rows for one data shape. Both routes
+/// copy the column first, as a caller that keeps it must.
 fn bench_distribution(name: &'static str, values: &[i64]) -> Vec<Row> {
     let mut sort = || {
         let mut v = values.to_vec();
@@ -135,38 +137,34 @@ fn bench_distribution(name: &'static str, values: &[i64]) -> Vec<Row> {
         EquiHeightHistogram::from_sorted(&v, BUCKETS)
     };
     let reference = sort();
-    // The sort path rearranges its input, so a caller keeping the column
-    // pays a defensive copy — timed, like the baseline's. The radix path
-    // only reads it: no copy to pay.
-    let mutates = !selection_profitable(values.len(), BUCKETS);
-    let mut keep = if mutates { Vec::new() } else { values.to_vec() };
-    let mut auto = || {
-        if mutates {
-            let mut v = values.to_vec();
-            EquiHeightHistogram::from_unsorted_in_place(&mut v, BUCKETS)
-        } else {
-            EquiHeightHistogram::from_unsorted_in_place(&mut keep, BUCKETS)
-        }
+    let mut sort_values = || {
+        let mut v = values.to_vec();
+        EquiHeightHistogram::from_unsorted_in_place(&mut v, BUCKETS)
     };
-    let routes = ["sort", "auto"];
-    let times = time_routes(&mut [&mut sort, &mut auto], |i, h| {
+    let routes = ["sort", "sort_values"];
+    let times = time_routes(&mut [&mut sort, &mut sort_values], |i, h| {
         assert_eq!(
             h, reference,
             "{name}: {} route must be byte-identical to the sort path",
             routes[i]
         )
     });
-    let (sort_s, auto_s) = (min(&times[0]), min(&times[1]));
+    let (sort_s, sort_values_s) = (min(&times[0]), min(&times[1]));
     let speedup = median_ratio(&times[0], &times[1]);
     println!(
-        "{name}: equi_height auto {:.3} ms vs sort {:.3} ms  (median {:.2}x)",
-        auto_s * 1e3,
+        "{name}: equi_height sort_values {:.3} ms vs sort {:.3} ms  (median {:.2}x)",
+        sort_values_s * 1e3,
         sort_s * 1e3,
         speedup
     );
     vec![
         Row { distribution: name, route: "sort", seconds: sort_s, speedup_vs_sort: 1.0 },
-        Row { distribution: name, route: "auto", seconds: auto_s, speedup_vs_sort: speedup },
+        Row {
+            distribution: name,
+            route: "sort_values",
+            seconds: sort_values_s,
+            speedup_vs_sort: speedup,
+        },
     ]
 }
 
@@ -195,7 +193,7 @@ fn require_str_in(obj: &Json, key: &str, allowed: &[&str]) -> Result<(), String>
 fn check_row(row: &Json) -> Result<(), String> {
     require_str_in(row, "distribution", &["uniform_dup", "zipf_shuffled"])?;
     require_str_in(row, "kind", &["equi_height"])?;
-    require_str_in(row, "route", &["auto", "sort"])?;
+    require_str_in(row, "route", &["sort", "sort_values"])?;
     require_positive_f64(row, "seconds")?;
     require_positive_f64(row, "speedup_vs_sort")?;
     Ok(())
@@ -209,7 +207,6 @@ fn check_file(path: &str) -> Result<(), String> {
             return Err(format!("{key:?} must be >= 1"));
         }
     }
-    require_str_in(&obj, "auto_route", &["sort", "radix"])?;
     match obj.get("clone_seconds").and_then(Json::as_f64) {
         Some(v) if v >= 0.0 => {}
         _ => return Err("missing/negative \"clone_seconds\"".into()),
@@ -370,13 +367,10 @@ fn main() -> ExitCode {
         std::env::var("SAMPLEHIST_N").ok().and_then(|v| v.parse().ok()).unwrap_or(DEFAULT_N);
     let threads = parallel::num_threads();
     // Run metadata: numbers from this harness are only comparable across
-    // machines with the hardware context attached (a 1-core container
-    // legitimately reports parallel == serial).
+    // machines with the hardware context attached.
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let auto_route = if selection_profitable(n, BUCKETS) { "radix" } else { "sort" };
     println!(
-        "pipeline bench: n = {n}, k = {BUCKETS}, threads = {threads}/{cores} cores, \
-         auto route = {auto_route}, reps = {REPS}"
+        "pipeline bench: n = {n}, k = {BUCKETS}, threads = {threads}/{cores} cores, reps = {REPS}"
     );
 
     let uniform = uniform_dup(n, 0x5A17);
@@ -432,7 +426,6 @@ fn main() -> ExitCode {
             "  \"detected_cores\": {cores},\n",
             "  \"threads\": {threads},\n",
             "  \"reps\": {reps},\n",
-            "  \"auto_route\": \"{auto_route}\",\n",
             "  \"clone_seconds\": {clone:.6},\n",
             "  \"rows\": [\n",
             "{rows}",
@@ -447,7 +440,6 @@ fn main() -> ExitCode {
         cores = cores,
         threads = threads,
         reps = REPS,
-        auto_route = auto_route,
         clone = clone_s,
         rows = row_json,
         profile = profile_s,

@@ -2,10 +2,7 @@
 
 use std::ops::Bound;
 
-use samplehist_parallel as parallel;
-
-use super::radix;
-use super::{bucket_counts, count_le};
+use super::{bucket_counts, count_le, sort_values};
 
 /// An equi-height *k*-histogram (paper Section 2.1).
 ///
@@ -115,22 +112,18 @@ impl EquiHeightHistogram {
     /// If the sample is empty, not sorted, `k == 0`, or
     /// `population_total < sample.len()`.
     pub fn from_sorted_sample(sample: &[i64], k: usize, population_total: u64) -> Self {
-        assert_sample_shape(sample, k, population_total);
+        assert!(k > 0, "a histogram needs at least one bucket");
+        assert!(!sample.is_empty(), "cannot build a histogram from an empty sample");
+        assert!(
+            population_total >= sample.len() as u64,
+            "population ({population_total}) smaller than sample ({})",
+            sample.len()
+        );
         Self::from_sorted(sample, k).scaled_to(population_total)
     }
 
-    /// Build the perfect equi-height k-histogram from **unsorted** data,
-    /// choosing the cheaper construction path by input shape:
-    ///
-    /// * large inputs with few separators (see [`super::selection_profitable`])
-    ///   resolve the `k−1` separator ranks and their `count_le` by radix
-    ///   counting (`radix`) — ~3 linear passes, no sort;
-    /// * everything else is sorted and handed to [`Self::from_sorted`].
-    ///
-    /// Both paths produce **byte-identical** histograms (property-tested
-    /// against sort + [`Self::from_sorted`]): separators are order
-    /// statistics, counts follow the order-independent domain rule. The
-    /// `histogram.route.*` counter records the path taken.
+    /// Build the perfect equi-height k-histogram from **unsorted** data:
+    /// sort it with [`sort_values`], then [`Self::from_sorted`].
     ///
     /// # Panics
     /// If `values` is empty or `k == 0`.
@@ -138,72 +131,26 @@ impl EquiHeightHistogram {
         Self::from_unsorted_in_place(&mut values, k)
     }
 
-    /// [`Self::from_unsorted`] without taking ownership: the caller's
-    /// buffer may be sorted in place (on the sort path) but is never
-    /// reallocated.
-    pub fn from_unsorted_in_place(values: &mut [i64], k: usize) -> Self {
-        Self::from_unsorted_threads(parallel::num_threads(), values, k)
-    }
-
-    /// [`Self::from_unsorted_in_place`] with an explicit thread count
-    /// (results are bit-identical at any thread count).
+    /// [`Self::from_unsorted`] without taking ownership: sorts the
+    /// caller's buffer in place (never reallocating it) and builds from
+    /// it.
     ///
     /// # Panics
     /// If `values` is empty or `k == 0`.
-    pub fn from_unsorted_threads(threads: usize, values: &mut [i64], k: usize) -> Self {
-        assert!(k > 0, "a histogram needs at least one bucket");
-        assert!(!values.is_empty(), "cannot build a histogram of an empty value set");
-        if radix::selection_profitable(values.len(), k) {
-            Self::from_unsorted_radix(threads, values, k)
-        } else {
-            Self::from_unsorted_sort(values, k)
-        }
-    }
-
-    /// Sort path of [`Self::from_unsorted_threads`]: sort in place, then
-    /// [`Self::from_sorted`].
-    fn from_unsorted_sort(values: &mut [i64], k: usize) -> Self {
-        samplehist_obs::global().counter("histogram.route.sort", 1);
-        values.sort_unstable();
+    pub fn from_unsorted_in_place(values: &mut [i64], k: usize) -> Self {
+        sort_values(values);
         Self::from_sorted(values, k)
     }
 
-    /// Radix path of [`Self::from_unsorted_threads`], whatever the input
-    /// shape: resolve the separator ranks of `values` by radix counting
-    /// and turn the returned `(value, count_le)` pairs into bucket counts
-    /// — the same consecutive-difference formula [`bucket_counts`]
-    /// applies to sorted data. Never rearranges the input.
-    pub(super) fn from_unsorted_radix(threads: usize, values: &[i64], k: usize) -> Self {
-        samplehist_obs::global().counter("histogram.route.radix", 1);
-        let ranks = radix::separator_ranks(values.len(), k);
-        let resolution = radix::resolve_ranks(threads, values, &ranks);
-        let mut separators = Vec::with_capacity(k - 1);
-        let mut counts = Vec::with_capacity(k);
-        let mut prev = 0u64;
-        for (v, le) in resolution.entries {
-            separators.push(v);
-            debug_assert!(le >= prev);
-            counts.push(le - prev);
-            prev = le;
-        }
-        let total = values.len() as u64;
-        counts.push(total - prev);
-        Self { separators, counts, total, min_value: resolution.min, max_value: resolution.max }
-    }
-
-    /// Convenience wrapper over [`Self::from_sorted_sample`] accepting an
-    /// unsorted sample. Routes through radix rank resolution instead of a
-    /// sort when the sample shape makes that profitable (same rule and
-    /// same byte-identical guarantee as [`Self::from_unsorted`]); counts
-    /// are scaled with the same largest-remainder rule as
-    /// [`Self::from_sorted_sample`].
+    /// [`Self::from_sorted_sample`] for an **unsorted** sample: sort it
+    /// with [`sort_values`], then build and scale.
     ///
     /// # Panics
     /// If the sample is empty, `k == 0`, or
     /// `population_total < sample.len()`.
     pub fn from_unsorted_sample(mut sample: Vec<i64>, k: usize, population_total: u64) -> Self {
-        assert_sample_shape(&sample, k, population_total);
-        Self::from_unsorted_in_place(&mut sample, k).scaled_to(population_total)
+        sort_values(&mut sample);
+        Self::from_sorted_sample(&sample, k, population_total)
     }
 
     /// This histogram of a sample, with its counts scaled up to a
@@ -347,17 +294,6 @@ impl EquiHeightHistogram {
             max_value: *sorted.last().expect("non-empty"),
         }
     }
-}
-
-/// The argument contract of the sampled constructors.
-fn assert_sample_shape(sample: &[i64], k: usize, population_total: u64) {
-    assert!(k > 0, "a histogram needs at least one bucket");
-    assert!(!sample.is_empty(), "cannot build a histogram from an empty sample");
-    assert!(
-        population_total >= sample.len() as u64,
-        "population ({population_total}) smaller than sample ({})",
-        sample.len()
-    );
 }
 
 /// Scale `sample_counts` (summing to `r`) to estimates summing to exactly
@@ -579,20 +515,21 @@ mod tests {
     }
 
     #[test]
-    fn from_unsorted_matches_sorted_path_on_both_routes() {
-        // Small input: routed through sort. Large input: routed through
-        // radix. Either way the result must equal from_sorted exactly.
+    fn from_unsorted_matches_sorted_path() {
         for (n, k) in [(100usize, 7usize), (20_000, 64), (20_000, 599)] {
             let data = noisy(n, 97);
             let mut sorted = data.clone();
             sorted.sort_unstable();
             let reference = EquiHeightHistogram::from_sorted(&sorted, k);
+            let mut in_place = data.clone();
+            assert_eq!(EquiHeightHistogram::from_unsorted_in_place(&mut in_place, k), reference);
+            assert_eq!(in_place, sorted, "the buffer is left sorted");
             assert_eq!(EquiHeightHistogram::from_unsorted(data, k), reference, "n={n} k={k}");
         }
     }
 
     #[test]
-    fn from_unsorted_sample_matches_sorted_sample_on_both_routes() {
+    fn from_unsorted_sample_matches_sorted_sample() {
         for (n, k) in [(50usize, 5usize), (20_000, 100)] {
             let data = noisy(n, 41);
             let mut sorted = data.clone();
@@ -609,58 +546,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "population")]
-    fn from_unsorted_sample_rejects_small_population_on_radix_path() {
-        // Large enough to take the radix route: the population assert
-        // must still fire with the same message as the sorted path.
+    fn from_unsorted_sample_rejects_small_population() {
         let sample: Vec<i64> = (0..20_000).collect();
         let _ = EquiHeightHistogram::from_unsorted_sample(sample, 10, 100);
-    }
-
-    /// The shape-routed entry point and both private paths it picks from,
-    /// each private path forced whatever the input shape.
-    fn every_path(
-        threads: usize,
-        data: &[i64],
-        k: usize,
-    ) -> [(&'static str, EquiHeightHistogram); 3] {
-        let mut auto = data.to_vec();
-        let mut sort = data.to_vec();
-        [
-            ("auto", EquiHeightHistogram::from_unsorted_threads(threads, &mut auto, k)),
-            ("sort", EquiHeightHistogram::from_unsorted_sort(&mut sort, k)),
-            ("radix", EquiHeightHistogram::from_unsorted_radix(threads, data, k)),
-        ]
-    }
-
-    #[test]
-    fn explicit_routes_agree_byte_for_byte() {
-        for (n, k) in [(10_000usize, 64usize), (20_000, 599)] {
-            let data = noisy(n, 97);
-            let mut sorted = data.clone();
-            sorted.sort_unstable();
-            let reference = EquiHeightHistogram::from_sorted(&sorted, k);
-            for threads in [1usize, 4] {
-                for (route, h) in every_path(threads, &data, k) {
-                    assert_eq!(h, reference, "route={route} threads={threads} n={n} k={k}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn explicit_routes_agree_on_samples() {
-        let data = noisy(15_000, 41);
-        let mut sorted = data.clone();
-        sorted.sort_unstable();
-        let pop = 123_457u64;
-        let reference = EquiHeightHistogram::from_sorted_sample(&sorted, 100, pop);
-        let h = EquiHeightHistogram::from_unsorted_sample(data.clone(), 100, pop);
-        assert_eq!(h, reference, "route=auto");
-        for threads in [1usize, 4] {
-            for (route, h) in every_path(threads, &data, 100) {
-                assert_eq!(h.scaled_to(pop), reference, "route={route} threads={threads}");
-            }
-        }
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! [`BucketIndex::estimate_eq_batch`],
 //! [`CompressedIndex::estimate_range_batch`],
 //! [`CompressedIndex::estimate_eq_classified_batch`]) interleave eight
-//! descent cursors per tree level — the same eight-lane template as the
-//! radix resolver's `min_max` — so the level loop is straight-line lane
+//! descent cursors per tree level — the same eight-lane template as
+//! `sort_values`' min/max pass — so the level loop is straight-line lane
 //! math the compiler can vectorize, with per-probe arithmetic in a scalar
 //! epilogue.
 //!
@@ -41,8 +41,8 @@
 use super::compressed::CompressedHistogram;
 use super::equi_height::EquiHeightHistogram;
 
-/// Descent lanes per batched chunk, mirroring `min_max`'s accumulator
-/// count: wide enough to hide the tree-level load latency, narrow enough
+/// Descent lanes per batched chunk, mirroring the min/max pass's
+/// accumulator count: wide enough to hide the tree-level load latency, narrow enough
 /// that the cursor state stays in registers.
 const LANES: usize = 8;
 

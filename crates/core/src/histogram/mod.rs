@@ -18,20 +18,17 @@
 //!   duplicate-heavy columns: values with multiplicity above `n/k` are
 //!   stored exactly, the residue gets an equi-height histogram.
 //!
-//! Three supporting pieces round the module out: [`EquiWidthHistogram`],
+//! Two supporting pieces round the module out: [`EquiWidthHistogram`],
 //! the classical baseline equi-height displaced (kept for the ablation
-//! benches), [`codec`], the single-page binary persistence format a
-//! catalog stores histograms in, and [`index`], the serve-time branchless
-//! bucket indexes estimation routes through once statistics are built.
+//! benches), and [`index`], the serve-time branchless bucket indexes
+//! estimation routes through once statistics are built.
 
 mod builder;
-pub mod codec;
 mod compressed;
 mod equi_height;
 mod equi_width;
 pub mod index;
 mod maintained;
-mod radix;
 mod sort;
 
 pub use builder::HistogramBuilder;
@@ -42,8 +39,17 @@ pub use index::{BucketIndex, CompressedIndex, LeCursor};
 pub use maintained::{
     MaintainedHistogram, PatchOutcome, PatchPolicy, PatchRefusal, PatchableStats, PatchedStats,
 };
-pub use radix::selection_profitable;
 pub use sort::{sort_appended, sort_values};
+
+/// The routing rule of the deleted radix construction path: `true` for
+/// inputs of at least 8192 values whose `k − 1` separators number at
+/// most one eighth of them. Nothing in this workspace calls it; perfbench's
+/// `replay_scan` still imports it, and it goes when that replay times
+/// ANALYZE's one sort.
+#[doc(hidden)]
+pub fn selection_profitable(n: usize, k: usize) -> bool {
+    k >= 2 && n >= 8 * 1024 && (k - 1).saturating_mul(8) <= n
+}
 
 /// Number of elements of the **sorted** slice that are `≤ v`.
 ///
@@ -76,23 +82,6 @@ pub fn bucket_counts(sorted: &[i64], separators: &[i64]) -> Vec<u64> {
     }
     counts.push((sorted.len() - prev) as u64);
     counts
-}
-
-/// Install, once per test binary, a process-global Prometheus recorder
-/// and return its sink, so byte-identity tests run with recording
-/// *enabled* (recording must never perturb results) and counter tests
-/// can read what the paths under test emitted. Other tests in the same
-/// binary record into the same sink, so counter reads are lower bounds.
-#[cfg(test)]
-pub(crate) fn test_recording() -> std::sync::Arc<samplehist_obs::PromSink> {
-    use std::sync::{Arc, OnceLock};
-    static SINK: OnceLock<Arc<samplehist_obs::PromSink>> = OnceLock::new();
-    SINK.get_or_init(|| {
-        let prom = Arc::new(samplehist_obs::PromSink::new());
-        samplehist_obs::set_global(samplehist_obs::Recorder::with_sinks(vec![prom.clone()]));
-        prom
-    })
-    .clone()
 }
 
 #[cfg(test)]

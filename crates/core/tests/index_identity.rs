@@ -147,34 +147,29 @@ proptest! {
 
     /// BucketIndex replays the bisect oracle bit-for-bit: `estimate_le`,
     /// `estimate_lt`, `estimate_range` and `estimate_eq` on every probe
-    /// point, over histograms built with 1 and 4 threads.
+    /// point.
     #[test]
     fn bucket_index_is_byte_identical_to_bisect(
         data in skewed_multiset(1 << 40),
         k in 1usize..24,
     ) {
         enable_recording();
-        for threads in [1usize, 4] {
-            let mut work = data.clone();
-            let h = EquiHeightHistogram::from_unsorted_threads(threads, &mut work, k);
-            let idx = BucketIndex::new(&h);
-            let pts = probe_points(&h);
-            for &t in &pts {
-                assert_bits(idx.estimate_le(t), oracle_le(&h, t),
-                    &format!("le({t}), threads {threads}"));
-                assert_bits(idx.estimate_lt(t), oracle_lt(&h, t),
-                    &format!("lt({t}), threads {threads}"));
-                assert_bits(idx.estimate_eq(t), oracle_range(&h, t, t),
-                    &format!("eq({t}), threads {threads}"));
-            }
-            for &x in &pts {
-                for &y in pts.iter().step_by(3) {
-                    assert_bits(
-                        idx.estimate_range(x, y),
-                        oracle_range(&h, x, y),
-                        &format!("range({x}, {y}), threads {threads}"),
-                    );
-                }
+        let mut work = data;
+        let h = EquiHeightHistogram::from_unsorted_in_place(&mut work, k);
+        let idx = BucketIndex::new(&h);
+        let pts = probe_points(&h);
+        for &t in &pts {
+            assert_bits(idx.estimate_le(t), oracle_le(&h, t), &format!("le({t})"));
+            assert_bits(idx.estimate_lt(t), oracle_lt(&h, t), &format!("lt({t})"));
+            assert_bits(idx.estimate_eq(t), oracle_range(&h, t, t), &format!("eq({t})"));
+        }
+        for &x in &pts {
+            for &y in pts.iter().step_by(3) {
+                assert_bits(
+                    idx.estimate_range(x, y),
+                    oracle_range(&h, x, y),
+                    &format!("range({x}, {y})"),
+                );
             }
         }
     }

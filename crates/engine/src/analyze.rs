@@ -597,7 +597,7 @@ mod tests {
             } else {
                 (0..20_000).map(|i| i % 200).collect()
             };
-            assert!(sorted.len() >= 8192, "{mode:?}: big enough for `from_unsorted`'s radix route");
+            assert!(sorted.len() >= 8192, "{mode:?}: a sample of thousands of tuples");
             assert_eq!(s.sample_size, sorted.len() as u64, "{mode:?}");
             sorted.sort_unstable();
             let profile = FrequencyProfile::from_sorted_sample(&sorted);

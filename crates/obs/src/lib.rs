@@ -26,8 +26,8 @@
 //! operation on it is a no-op costing one branch, so instrumentation
 //! stays in the code unconditionally. Pipeline entry points take an
 //! explicit `&Recorder` (`cvb::try_run_traced`, `engine::analyze_traced`);
-//! library-internal layers (radix routing, the parallel primitives, the
-//! storage samplers' default construction) fall back to the process-wide
+//! library-internal layers (the parallel primitives, the storage
+//! samplers' default construction) fall back to the process-wide
 //! [`global`] recorder, which a binary installs once with
 //! [`set_global`].
 //!
@@ -76,7 +76,7 @@ static GLOBAL: OnceLock<Recorder> = OnceLock::new();
 
 /// Install the process-wide recorder used by call sites that have no
 /// natural place to thread a handle through (the parallel primitives,
-/// radix route selection, …). Returns `false` if one was already
+/// the storage samplers, …). Returns `false` if one was already
 /// installed (the first installation wins, matching `log::set_logger`).
 pub fn set_global(recorder: Recorder) -> bool {
     if GLOBAL.set(recorder).is_ok() {
