@@ -70,10 +70,13 @@ fn bench_frequency_profile(c: &mut Criterion) {
     group.finish();
 }
 
-/// `sort_values` against `sort_unstable` on a fresh copy per call: a
-/// permutation of `0..n` and shuffled Zipf(1) take the counting sort
-/// (span ≤ 2n); a 2^40-wide column falls back to `sort_unstable`, so its
-/// row measures what the min/max pass costs.
+/// `sort_values` against `sort_unstable` on a fresh copy per call. A
+/// shuffled permutation of `0..n` (every value distinct, span n: the
+/// count pass is bound by cache misses on the byte array), a shuffled
+/// permutation of multiples of 8 (span 8n, the widest that still counts)
+/// and shuffled Zipf(1) take the counting sort; a 2^40-wide column falls
+/// back to `sort_unstable`, so its row measures what the min/max pass
+/// costs.
 fn bench_sort_values(c: &mut Criterion) {
     use rand::seq::SliceRandom;
     use rand::Rng;
@@ -83,11 +86,18 @@ fn bench_sort_values(c: &mut Criterion) {
     group.sample_size(10);
     for n in [200_000u64, 2_000_000] {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut narrow: Vec<i64> = (0..n as i64).collect();
-        narrow.shuffle(&mut rng);
+        let mut permutation: Vec<i64> = (0..n as i64).collect();
+        permutation.shuffle(&mut rng);
+        let spread: Vec<i64> = permutation.iter().map(|v| 8 * v).collect();
         let wide: Vec<i64> = (0..n).map(|_| rng.gen_range(0..1i64 << 40)).collect();
         group.throughput(Throughput::Elements(n));
-        for (shape, data) in [("uniform", narrow), ("zipf", unsorted_zipf(n)), ("wide", wide)] {
+        let shapes = [
+            ("permutation", permutation),
+            ("spread", spread),
+            ("zipf", unsorted_zipf(n)),
+            ("wide", wide),
+        ];
+        for (shape, data) in shapes {
             group.bench_with_input(
                 BenchmarkId::new(format!("{shape}/sort_values"), n),
                 &data,

@@ -143,8 +143,9 @@ fn check_event(
             let Some(fields @ Json::Obj(_)) = obj.get("fields") else {
                 return Err("\"fields\" must be an object".into());
             };
-            // ANALYZE's sort and each CVB round's union sort say whether
-            // they took the counting sort.
+            // ANALYZE's sort says whether it took the counting sort, and
+            // each CVB round whether its sample is held as counts (its
+            // span is within the same `8n` rule).
             if let Some(name @ ("analyze.sort" | "cvb.round")) =
                 obj.get("name").and_then(Json::as_str)
             {

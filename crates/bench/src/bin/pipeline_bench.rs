@@ -11,7 +11,7 @@
 //! "Before" is the seed pipeline: clone + full `sort_unstable` +
 //! `from_sorted`. "After" is the pipeline ANALYZE runs: clone +
 //! `from_unsorted_in_place`, which sorts with `histogram::sort_values`
-//! (a counting sort when the span is at most `2n`) and then calls
+//! (a counting sort when the span is at most `8n`) and then calls
 //! `from_sorted` (the `sort_values` rows). Every timed call is asserted
 //! byte-identical to the sort-path reference. A last section times the
 //! frequency-profile tally of the sorted duplicate-heavy column (one

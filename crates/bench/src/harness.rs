@@ -18,7 +18,7 @@
 //! ground truth an experiment can see even though the algorithm cannot.
 
 use samplehist_core::error::fractional_max_error;
-use samplehist_core::histogram::{sort_appended, EquiHeightHistogram};
+use samplehist_core::histogram::{EquiHeightHistogram, GrowingSample};
 use samplehist_core::sampling::{BlockPermutation, BlockSource};
 use samplehist_parallel as parallel;
 use samplehist_storage::HeapFile;
@@ -73,12 +73,12 @@ pub fn error_vs_rate(
     let per_trial: Vec<Vec<(f64, f64, f64)>> = parallel::par_map(&trials, |&trial| {
         let mut rng = scale.rng(label, trial);
         let mut permutation = BlockPermutation::new(file, &mut rng);
-        let (mut sample, mut spare) = (Vec::new(), Vec::new());
+        let (mut sample, mut batch) = (Vec::new(), Vec::new());
         rates
             .iter()
             .map(|&rate| {
                 let target = (rate * n as f64).ceil() as usize;
-                grow_to(&mut sample, &mut spare, target, &mut permutation, file);
+                grow_to(&mut sample, &mut batch, target, &mut permutation, file);
                 let hist = EquiHeightHistogram::from_sorted_sample(&sample, buckets, n);
                 let err = fractional_max_error(hist.separators(), &sample, full_sorted).max;
                 (sample.len() as f64, permutation.drawn() as f64, err)
@@ -144,12 +144,12 @@ pub fn required_sampling(
     let per_trial: Vec<(f64, f64, bool)> = parallel::par_map(&trials, |&trial| {
         let mut rng = scale.rng(label, trial);
         let mut permutation = BlockPermutation::new(file, &mut rng);
-        let (mut sample, mut spare) = (Vec::new(), Vec::new());
+        let (mut sample, mut batch) = (Vec::new(), Vec::new());
         // Start near the cheapest size that could plausibly certify the
         // target (a few tuples per bucket), then grow geometrically.
         let mut target = (buckets as u64 * 4).min(n) as usize;
         let hit = loop {
-            grow_to(&mut sample, &mut spare, target, &mut permutation, file);
+            grow_to(&mut sample, &mut batch, target, &mut permutation, file);
             let hist = EquiHeightHistogram::from_sorted_sample(&sample, buckets, n);
             let err = fractional_max_error(hist.separators(), &sample, full_sorted).max;
             if err <= target_f {
@@ -183,28 +183,29 @@ pub fn required_sampling(
 
 /// Extend `sample` (kept sorted) with whole blocks until it holds at
 /// least `target` tuples or the permutation is exhausted. The blocks are
-/// appended to `sample` and sorted into it by `sort_appended`, whose
-/// scratch buffer `spare` is reused from one growth step to the next.
+/// read into `batch` and folded into the sample by a [`GrowingSample`];
+/// `batch` keeps its capacity from one growth step to the next.
 fn grow_to(
     sample: &mut Vec<i64>,
-    spare: &mut Vec<i64>,
+    batch: &mut Vec<i64>,
     target: usize,
     permutation: &mut BlockPermutation,
     file: &HeapFile,
 ) {
-    let prior = sample.len();
     let b = file.avg_tuples_per_block().max(1.0);
-    while sample.len() < target {
-        let want = (((target - sample.len()) as f64 / b).ceil() as usize).max(1);
+    while sample.len() + batch.len() < target {
+        let want = (((target - sample.len() - batch.len()) as f64 / b).ceil() as usize).max(1);
         let ids = permutation.take(want);
         if ids.is_empty() {
             break;
         }
         for &id in ids {
-            sample.extend_from_slice(file.block(id));
+            batch.extend_from_slice(file.block(id));
         }
     }
-    sort_appended(sample, prior, spare);
+    let mut union = GrowingSample::from_sorted(std::mem::take(sample));
+    union.append(batch);
+    *sample = union.into_sorted();
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ pub use index::{BucketIndex, CompressedIndex, LeCursor};
 pub use maintained::{
     MaintainedHistogram, PatchOutcome, PatchPolicy, PatchRefusal, PatchableStats, PatchedStats,
 };
-pub use sort::{sort_appended, sort_values};
+pub use sort::{sort_values, GrowingSample};
 
 /// The routing rule of the deleted radix construction path: `true` for
 /// inputs of at least 8192 values whose `k − 1` separators number at

@@ -47,7 +47,7 @@ use super::fallible::{BlockError, Reliable, TryBlockSource};
 use super::schedule::{Schedule, ScheduleContext};
 use crate::bounds::chaudhuri::corollary1_sample_size;
 use crate::error::fractional_max_from_counts;
-use crate::histogram::{count_le, sort_appended, EquiHeightHistogram};
+use crate::histogram::{count_le, EquiHeightHistogram, GrowingSample};
 
 /// How the cross-validation sample is formed from each round's fresh
 /// blocks (Section 4.2's "twists on this basic strategy").
@@ -331,7 +331,8 @@ pub fn try_run(
 /// [`try_run`] with an explicit [`Recorder`]: emits a `cvb.run` span with
 /// one `cvb.round` child per doubling round carrying the adaptive loop's
 /// decision record — blocks drawn, accumulated sample size `r`, whether
-/// the round's sort counted (`counting`), the cross-validation error Δ̂
+/// the sample is held as counts after the round (`counting`: its span is
+/// within [`crate::histogram::sort_values`]' rule), the cross-validation error Δ̂
 /// against the target `f`, and the accept/reject verdict. When a block
 /// fails, the trace also carries the degradation record — a
 /// `cvb.blocks_failed` counter per lost block, per-round
@@ -364,14 +365,13 @@ pub fn try_run_traced(
     run_span.field("max_blocks", max_blocks);
 
     let mut permutation = BlockPermutation::with_len(source.num_blocks(), rng);
-    let mut accumulated: Vec<i64> = Vec::new();
+    let mut sample = GrowingSample::default();
     let mut rounds: Vec<CvbRound> = Vec::new();
     let mut histogram: Option<EquiHeightHistogram> = None;
     let mut converged = false;
     let mut scratch = Scratch::default();
-    // Where each readable block's tuples sit in the (still unsorted) tail
-    // of `accumulated`, in draw order: what one-tuple-per-block validation
-    // picks from.
+    // Where each readable block's tuples sit in the round's (unsorted)
+    // tail, in draw order: what one-tuple-per-block validation picks from.
     let mut fresh_spans: Vec<(usize, usize)> = Vec::new();
 
     let mut report = DegradationReport::clean(config.target_f);
@@ -383,7 +383,7 @@ pub fn try_run_traced(
         let ctx = ScheduleContext {
             round,
             blocks_so_far: permutation.drawn(),
-            tuples_so_far: accumulated.len() as u64,
+            tuples_so_far: sample.len() as u64,
             total_tuples: n,
             tuples_per_block: b,
         };
@@ -396,9 +396,9 @@ pub fn try_run_traced(
         let planned_blocks = scratch.fresh_ids.len();
         let mut round_span = run_span.child("cvb.round");
 
-        // Append this round's tuples to the sample, replacing failed blocks
+        // Read this round's tuples into the tail, replacing failed blocks
         // from the tail of the permutation while the budget lasts.
-        let prior = accumulated.len();
+        let tail = &mut scratch.tail;
         fresh_spans.clear();
         let mut failed_this_round = 0usize;
         let mut replaced_this_round = 0usize;
@@ -409,11 +409,11 @@ pub fn try_run_traced(
             match source.try_block(id) {
                 Ok(tuples) => {
                     // Grow to the round's remaining estimate rather than
-                    // by doubling: the sample is the run's largest buffer.
+                    // by doubling: the tail is the round's largest buffer.
                     let rest = (b * (scratch.fresh_ids.len() - i) as f64) as usize;
-                    accumulated.reserve_exact(tuples.len() + rest);
-                    fresh_spans.push((accumulated.len(), tuples.len()));
-                    accumulated.extend_from_slice(&tuples);
+                    tail.reserve_exact(tuples.len() + rest);
+                    fresh_spans.push((tail.len(), tuples.len()));
+                    tail.extend_from_slice(&tuples);
                 }
                 Err(err) => {
                     failed_this_round += 1;
@@ -442,19 +442,19 @@ pub fn try_run_traced(
         };
         widest_f = widest_f.max(effective_f);
 
-        if accumulated.len() == prior {
+        if tail.is_empty() {
             // Every block of this round was lost; nothing to validate or
-            // sort, but the attempt still counts against the block cap.
+            // fold in, but the attempt still counts against the block cap.
             rounds.push(CvbRound {
                 round,
                 new_blocks: 0,
                 total_blocks: permutation.drawn(),
-                total_tuples: accumulated.len() as u64,
+                total_tuples: sample.len() as u64,
                 cross_validation_error: None,
             });
             round_span.field("round", round);
             round_span.field("new_blocks", 0usize);
-            round_span.field("counting", false);
+            round_span.field("counting", sample.is_counted());
             round_span.field("failed", failed_this_round);
             round_span.field("verdict", "lost");
             round_span.finish();
@@ -464,28 +464,24 @@ pub fn try_run_traced(
         // Cross-validate the current histogram against the fresh tuples
         // (Definition 4's fractional error; reduces to Definition 1 when
         // values are distinct). The reference counts `count_le(R, d)` at
-        // the distinct separators are read off the sorted prefix, and
-        // one-tuple-per-block picks off the unsorted tail, before the
-        // union sort rewrites both.
+        // the distinct separators are read off the sample before the tail
+        // joins it, and one-tuple-per-block picks off the tail.
         let one_per_block = config.validation == ValidationMode::OneTuplePerBlock;
+        let (prior, fresh) = (sample.len(), tail.len());
         if let Some(h) = &histogram {
             scratch.distinct.clear();
             scratch.distinct.extend_from_slice(h.separators());
             scratch.distinct.dedup();
-            let prefix = &accumulated[..prior];
-            scratch.prior_le.clear();
-            scratch.prior_le.extend(scratch.distinct.iter().map(|&d| count_le(prefix, d) as u64));
+            sample.count_le_each(&scratch.distinct, &mut scratch.prior_le);
             if one_per_block {
                 scratch.validation.clear();
                 scratch.validation.extend(
-                    fresh_spans
-                        .iter()
-                        .map(|&(start, len)| accumulated[start + rng.gen_range(0..len)]),
+                    fresh_spans.iter().map(|&(start, len)| tail[start + rng.gen_range(0..len)]),
                 );
                 scratch.validation.sort_unstable();
             }
         }
-        let counting = sort_appended(&mut accumulated, prior, &mut scratch.tail);
+        sample.append(tail);
         // The fresh tuples' counts are rank differences over the union.
         let cv_error = histogram.as_ref().map(|_| {
             let (distinct, prior_le, picks) =
@@ -495,18 +491,19 @@ pub fn try_run_traced(
                 let observed = (|j| count_le(picks, distinct[j]) as u64, picks.len() as u64);
                 fractional_max_from_counts(distinct, reference, observed, |_| {})
             } else {
-                let fresh = |j| count_le(&accumulated, distinct[j]) as u64 - prior_le[j];
-                let observed = (fresh, (accumulated.len() - prior) as u64);
+                sample.count_le_each(distinct, &mut scratch.union_le);
+                let union_le = &scratch.union_le;
+                let observed = (|j: usize| union_le[j] - prior_le[j], fresh as u64);
                 fractional_max_from_counts(distinct, reference, observed, |_| {})
             }
         });
-        histogram = Some(EquiHeightHistogram::from_sorted_sample(&accumulated, config.buckets, n));
+        histogram = Some(sample.histogram(config.buckets, n));
 
         rounds.push(CvbRound {
             round,
             new_blocks: kept_blocks,
             total_blocks: permutation.drawn(),
-            total_tuples: accumulated.len() as u64,
+            total_tuples: sample.len() as u64,
             cross_validation_error: cv_error,
         });
 
@@ -514,8 +511,8 @@ pub fn try_run_traced(
         round_span.field("round", round);
         round_span.field("new_blocks", kept_blocks);
         round_span.field("total_blocks", permutation.drawn());
-        round_span.field("r", accumulated.len());
-        round_span.field("counting", counting);
+        round_span.field("r", sample.len());
+        round_span.field("counting", sample.is_counted());
         round_span.field("target_f", config.target_f);
         if failed_this_round > 0 {
             round_span.field("failed", failed_this_round);
@@ -536,13 +533,16 @@ pub fn try_run_traced(
             break;
         }
     }
+    // The round buffers go before the sorted sample is written, so the
+    // two never share the peak.
+    drop(scratch);
 
     report.degraded = report.blocks_failed > 0;
     if !converged {
         report.effective_target_f = widest_f;
     }
 
-    if accumulated.is_empty() {
+    if sample.is_empty() {
         run_span.field("blocks_failed", report.blocks_failed);
         run_span.field("verdict", "unreadable");
         run_span.finish();
@@ -561,9 +561,9 @@ pub fn try_run_traced(
         rounds_executed: rounds.len(),
         terminated_early: converged && permutation.drawn() < max_blocks,
         blocks_sampled: permutation.drawn(),
-        tuples_sampled: accumulated.len() as u64,
+        tuples_sampled: sample.len() as u64,
         rounds,
-        sample_sorted: accumulated,
+        sample_sorted: sample.into_sorted(),
     };
     run_span.field("rounds", result.rounds_executed);
     run_span.field("converged", result.converged);
@@ -583,17 +583,18 @@ pub fn try_run_traced(
 }
 
 /// Reusable per-round buffers for the adaptive loop: the drawn block ids,
-/// the one-tuple-per-block validation set, the union sort's tail copy, and
-/// the current histogram's distinct separators with the sorted prefix's
-/// counts at them. The sample itself is one vector that only grows, so a
-/// round allocates nothing once these have reached their largest size.
+/// the round's tail of fresh tuples, the one-tuple-per-block validation
+/// set, and the current histogram's distinct separators with the
+/// sample's counts at them before and after the tail joins it. A round
+/// allocates nothing once these have reached their largest size.
 #[derive(Default)]
 struct Scratch {
     fresh_ids: Vec<usize>,
-    validation: Vec<i64>,
     tail: Vec<i64>,
+    validation: Vec<i64>,
     distinct: Vec<i64>,
     prior_le: Vec<u64>,
+    union_le: Vec<u64>,
 }
 
 #[cfg(test)]

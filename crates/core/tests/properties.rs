@@ -193,10 +193,11 @@ proptest! {
 
     /// `from_unsorted` is byte-identical to sort + `from_sorted`, and the
     /// sampled variant to `from_sorted_sample`, for every multiset and
-    /// bucket count, with recording enabled. Short runs over ±1000 and
-    /// heavy runs over ±2¹² span at most `2n` once `n` reaches 1000, so
-    /// `sort_values` counting-sorts them; heavy runs over ±2³² take its
-    /// comparison sort.
+    /// bucket count, with recording enabled. Short runs over ±1000 span
+    /// at most `8n` once `n` reaches 251, and heavy runs over ±2¹² (at
+    /// least 9000 values, each heavy value wrapping its byte-wide counter)
+    /// always do, so `sort_values` counting-sorts them; heavy runs over
+    /// ±2³² take its comparison sort.
     #[test]
     fn from_unsorted_equals_sort_path(
         short_runs in unsorted_multiset(1..2600),

@@ -1,5 +1,5 @@
-//! Oracles for the full-scan build path: `sort_values` and CVB's union
-//! sort `sort_appended` against the standard library's sort, the
+//! Oracles for the full-scan build path: `sort_values` and the sample
+//! CVB grows, `GrowingSample`, against the standard library's sort, the
 //! unsorted equi-height builders against sort + `from_sorted`, the
 //! compressed builders against the copy-and-filter construction they
 //! replace, and the frequency tally against a map of run lengths.
@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use samplehist_core::distinct::FrequencyProfile;
 use samplehist_core::histogram::{
-    sort_appended, sort_values, CompressedHistogram, EquiHeightHistogram,
+    sort_values, CompressedHistogram, EquiHeightHistogram, GrowingSample,
 };
 
 /// Deterministic value stream for building inputs from a drawn seed.
@@ -51,12 +51,40 @@ fn sort_values_edge_cases() {
     assert!(!check_sort(vec![i64::MAX, i64::MIN, 0, i64::MIN, i64::MAX]), "full i64 span");
     assert!(check_sort(vec![i64::MAX, i64::MAX - 1, i64::MAX]), "span at the top end");
     assert!(check_sort(vec![i64::MIN + 1, i64::MIN, i64::MIN]), "span at the bottom end");
-    assert!(check_sort(with_span(1000, -500, 2000, 3)), "span = 2n counts");
-    assert!(!check_sort(with_span(1000, -500, 2001, 3)), "span = 2n + 1 sorts");
+    assert!(check_sort(with_span(1000, -500, 8000, 3)), "span = 8n counts");
+    assert!(!check_sort(with_span(1000, -500, 8001, 3)), "span = 8n + 1 sorts");
+}
+
+/// Runs of 255, 256, 257, 511, 512 and 65,536 copies, which wrap a
+/// byte-wide counter zero, one, one, one, two and 256 times, among
+/// values held once; all-equal input of 2^20 values; and the i64
+/// extremes with more than 256 copies each, apart (counted) and together
+/// (compared).
+#[test]
+fn sort_values_with_wrapped_counts() {
+    let mut next = xorshift(0x5EED);
+    for copies in [255usize, 256, 257, 511, 512, 65_536] {
+        let mut values = vec![17i64; copies];
+        values.extend((0..1000).map(|_| (next() % 100) as i64));
+        values.extend(vec![99i64; copies]);
+        let len = values.len();
+        values.swap(0, len - 1);
+        assert!(check_sort(values), "{copies} copies");
+    }
+    assert!(check_sort(vec![-9; 1 << 20]), "2^20 equal values");
+    let mut low = vec![i64::MIN; 300];
+    low.extend([i64::MIN + 2, i64::MIN + 1, i64::MIN]);
+    assert!(check_sort(low.clone()), "i64::MIN with 301 copies");
+    let mut high = vec![i64::MAX; 513];
+    high.extend([i64::MAX - 3, i64::MAX - 1]);
+    assert!(check_sort(high.clone()), "i64::MAX with 513 copies");
+    let mut both = low;
+    both.extend(high);
+    assert!(!check_sort(both), "both extremes span all of i64");
 }
 
 proptest! {
-    /// Every span around the `2n` cutoff, negative and positive origins,
+    /// Every span around the `8n` cutoff, negative and positive origins,
     /// and inputs that hold both `i64::MIN` and `i64::MAX`.
     #[test]
     fn sort_values_equals_sort_unstable(
@@ -66,15 +94,15 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (values, expect_counting) = match shape {
-            0 => (with_span(n, lo, 2 * n.max(1) as u64, seed), n >= 2),
-            1 => (with_span(n, lo, 2 * n as u64 + 1, seed), false),
+            0 => (with_span(n, lo, 8 * n.max(1) as u64, seed), n >= 2),
+            1 => (with_span(n, lo, 8 * n as u64 + 1, seed), false),
             2 => (vec![lo; n], n >= 2),
             3 => {
                 let mut v = with_span(n, lo, 3, seed);
                 v.extend([i64::MIN, i64::MAX]);
                 (v, false)
             }
-            _ => (with_span(n, lo, 1 + seed % (4 * n as u64 + 1), seed), false),
+            _ => (with_span(n, lo, 1 + seed % (16 * n as u64 + 1), seed), false),
         };
         let counting = check_sort(values);
         if shape < 4 {
@@ -85,7 +113,7 @@ proptest! {
 
 // -- Unsorted equi-height builds against sort + `from_sorted` -------------
 
-/// Spans at and just past the counting sort's `2n` boundary, all-equal
+/// Spans at and just past the counting sort's `8n` boundary, all-equal
 /// input, more buckets than values, and the i64 extremes alone and
 /// mixed with heavy runs: `from_unsorted`, `from_unsorted_in_place` and
 /// `from_unsorted_sample` equal `sort_unstable` + `from_sorted` (or
@@ -97,8 +125,8 @@ fn from_unsorted_matches_sort_on_edge_inputs() {
     extremes_with_runs.extend(vec![i64::MAX; 5_000]);
     extremes_with_runs.extend(with_span(5_000, -(1 << 40), 1 << 41, 0xFE));
     let cases: Vec<(&str, Vec<i64>, bool)> = vec![
-        ("span 2n", with_span(n, -5, 2 * n as u64, 0x10), true),
-        ("span 2n + 1", with_span(n, -5, 2 * n as u64 + 1, 0x11), false),
+        ("span 8n", with_span(n, -5, 8 * n as u64, 0x10), true),
+        ("span 8n + 1", with_span(n, -5, 8 * n as u64 + 1, 0x11), false),
         ("all equal", vec![13; 4_096], true),
         ("k > n", with_span(5, 0, 1 << 20, 0x12), false),
         ("extremes", vec![i64::MIN, i64::MAX, 0, -1, 1, i64::MIN, i64::MAX], false),
@@ -128,75 +156,136 @@ fn from_unsorted_matches_sort_on_edge_inputs() {
     }
 }
 
-// -- The union sort against `sort_unstable` --------------------------------
+// -- The growing sample against `sort_unstable` ---------------------------
 
-/// Sorts `prefix` (the sorted sample so far) followed by `tail` (the
-/// fresh batch, unsorted) with `sort_appended`, checks the union against
-/// `sort_unstable`, and returns whether the counting sort ran.
-fn check_appended(mut prefix: Vec<i64>, tail: &[i64]) -> bool {
+/// Grows a `GrowingSample` from the sorted `prefix` by each of `batches`
+/// (unsorted) in turn. After each batch, checks its length, its counts at
+/// every value of the union and at the ends, and its histograms against
+/// `sort_unstable` + `count_le` / `from_sorted_sample`; at the end, checks
+/// `into_sorted`. Returns whether the union was held as counts after each
+/// batch.
+fn check_growth(mut prefix: Vec<i64>, batches: &[Vec<i64>]) -> Vec<bool> {
     prefix.sort_unstable();
-    let prior = prefix.len();
-    let mut values = prefix;
-    values.extend_from_slice(tail);
-    let mut expected = values.clone();
-    expected.sort_unstable();
-    // A stale scratch buffer, larger than any tail, must not leak into
-    // the result.
-    let mut scratch = vec![i64::MIN; 3 * tail.len() + 5];
-    let counting = sort_appended(&mut values, prior, &mut scratch);
-    assert_eq!(values, expected, "prior {prior}, tail {tail:?}");
-    counting
+    let mut expected = prefix.clone();
+    let mut sample = GrowingSample::from_sorted(prefix);
+    let mut routes = Vec::new();
+    // A reused buffer with stale capacity, as CVB's tail is.
+    let mut batch = Vec::with_capacity(7);
+    for tail in batches {
+        batch.extend_from_slice(tail);
+        sample.append(&mut batch);
+        assert!(batch.is_empty(), "append leaves the batch empty");
+        expected.extend_from_slice(tail);
+        expected.sort_unstable();
+        routes.push(sample.is_counted());
+        assert_eq!(sample.len(), expected.len());
+        if expected.is_empty() {
+            continue;
+        }
+        let (lo, hi) = (expected[0], expected[expected.len() - 1]);
+        let mut probes: Vec<i64> = expected.clone();
+        probes.extend([i64::MIN, lo.saturating_sub(1), hi.saturating_add(1), i64::MAX]);
+        probes.sort_unstable();
+        let mut got = Vec::new();
+        sample.count_le_each(&probes, &mut got);
+        let want: Vec<u64> =
+            probes.iter().map(|&v| expected.partition_point(|&x| x <= v) as u64).collect();
+        assert_eq!(got, want, "count_le_each after {} values", expected.len());
+        let population = 2 * expected.len() as u64 + 3;
+        for k in [1usize, 3, 40] {
+            assert_eq!(
+                sample.histogram(k, population),
+                EquiHeightHistogram::from_sorted_sample(&expected, k, population),
+                "k={k} after {} values",
+                expected.len()
+            );
+        }
+    }
+    assert_eq!(sample.into_sorted(), expected);
+    routes
 }
 
 #[test]
-fn sort_appended_edge_cases() {
+fn growing_sample_edge_cases() {
     let narrow = with_span(500, -100, 400, 5);
     let wide = with_span(500, -100, 1 << 40, 6);
-    assert!(!check_appended(vec![], &[]));
-    assert!(check_appended(vec![], &narrow), "empty prefix: sort_values on the tail");
-    assert!(!check_appended(vec![], &wide), "empty prefix, wide tail");
-    assert!(!check_appended(narrow.clone(), &[]), "empty tail: nothing to sort");
-    assert!(check_appended(vec![9; 300], &[9; 200]), "all-equal union spans 1");
-    assert!(!check_appended(vec![i64::MIN, 0, i64::MAX], &[i64::MAX, i64::MIN, 1]), "full span");
-    assert!(check_appended(vec![i64::MAX - 2, i64::MAX], &[i64::MAX - 1, i64::MAX]), "top end");
-    assert!(check_appended(vec![i64::MIN, i64::MIN + 1], &[i64::MIN, i64::MIN + 2]), "bottom end");
-    // The union's span, not the prefix's or the tail's, picks the route.
+    assert_eq!(check_growth(vec![], &[vec![]]), [false]);
+    assert_eq!(
+        check_growth(vec![], std::slice::from_ref(&narrow)),
+        [true],
+        "empty prefix, narrow batch"
+    );
+    assert_eq!(
+        check_growth(vec![], std::slice::from_ref(&wide)),
+        [false],
+        "empty prefix, wide batch"
+    );
+    assert_eq!(check_growth(narrow.clone(), &[vec![]]), [false], "empty batch: nothing to fold");
+    assert_eq!(check_growth(vec![9; 300], &[vec![9; 200]]), [true], "all-equal union spans 1");
+    let extremes = vec![i64::MAX, i64::MIN, 1];
+    assert_eq!(check_growth(vec![i64::MIN, 0, i64::MAX], &[extremes]), [false], "full span");
+    let top = vec![i64::MAX - 1, i64::MAX];
+    assert_eq!(check_growth(vec![i64::MAX - 2, i64::MAX], &[top]), [true], "top end");
+    let bottom = vec![i64::MIN, i64::MIN + 2];
+    assert_eq!(check_growth(vec![i64::MIN, i64::MIN + 1], &[bottom]), [true], "bottom end");
+    // The union's span, not the prefix's or the batch's, picks the route.
     let low: Vec<i64> = (0..100).collect();
-    let high: Vec<i64> = (150..250).collect();
-    assert!(check_appended(low.clone(), &high), "union span 250 <= 2n = 400");
-    let far: Vec<i64> = (1_000..1_100).collect();
-    assert!(!check_appended(low.clone(), &far), "tail above the prefix, union span 1100 > 400");
-    let below: Vec<i64> = (-1_100..-1_000).collect();
-    assert!(!check_appended(low.clone(), &below), "tail below the prefix");
+    let high: Vec<i64> = (1_500..1_600).collect();
+    assert_eq!(check_growth(low.clone(), &[high]), [true], "union span 1600 = 8n");
+    let far: Vec<i64> = (1_501..1_601).collect();
+    assert_eq!(check_growth(low.clone(), &[far]), [false], "batch above, union span 8n + 1");
+    let below: Vec<i64> = (-1_600..-1_500).collect();
+    assert_eq!(check_growth(low.clone(), &[below]), [false], "batch below the prefix");
     let straddle: Vec<i64> = (-50..150).step_by(2).chain([-5_000, 5_000]).collect();
-    assert!(!check_appended(low, &straddle), "tail on both sides of the prefix");
-    assert!(!check_appended(wide.clone(), &narrow), "wide prefix, narrow tail: the tail counts");
-    assert!(!check_appended(narrow, &wide), "narrow prefix, wide tail");
+    assert_eq!(check_growth(low.clone(), &[straddle]), [false], "batch on both sides");
+    assert_eq!(check_growth(wide.clone(), std::slice::from_ref(&narrow)), [false], "wide prefix");
+    assert_eq!(check_growth(narrow.clone(), &[wide]), [false], "narrow prefix, wide batch");
+    // Counted, widened below and above, sent back to the sorted route by
+    // an outlier, then dense enough to count again.
+    let batches = [
+        (0..200).collect::<Vec<i64>>(),
+        (-300..-100).collect(),
+        (200..1_000).rev().collect(),
+        vec![1 << 20],
+        (0..140_000).map(|v| v % 1_000 + 1_000).collect(),
+    ];
+    assert_eq!(check_growth(vec![], &batches), [true, true, true, false, true]);
+    // Wrapped counters survive widening: 300 and 600 copies at the old
+    // origin, then a batch below it.
+    let heavy: Vec<i64> = [vec![5; 300], vec![6; 600]].concat();
+    let lower: Vec<i64> = vec![-2_000; 257];
+    assert_eq!(check_growth(vec![], &[heavy, lower, vec![6; 256]]), [true, true, true]);
 }
 
 proptest! {
-    /// Prefix and tail drawn over the same or disjoint spans around the
-    /// union's `2n` cutoff, including prefixes and tails that are empty or
-    /// hold the i64 extremes: both routes agree with `sort_unstable`.
+    /// A prefix and up to three batches drawn over the same or shifted
+    /// spans around the union's `8n` cutoff, some holding the i64
+    /// extremes: the sample agrees with `sort_unstable` after every batch.
     #[test]
-    fn sort_appended_equals_sort_unstable(
-        sizes in (0usize..300, 0usize..300),
+    fn growing_sample_equals_sort_unstable(
+        prior in 0usize..200,
+        batches in prop::collection::vec((0usize..200, -3_000i64..3_000, any::<bool>()), 1..4),
         lo in -1_000_000_000_000i64..1_000_000_000_000,
-        shape in (0u64..5, -2_000i64..2_000, any::<bool>()),
+        span_per_value in 0u64..17,
         seed in any::<u64>(),
     ) {
-        let ((prior, fresh), (span_per_value, offset, extremes)) = (sizes, shape);
-        let n = (prior + fresh).max(1) as u64;
+        let n = (prior + batches.iter().map(|b| b.0).sum::<usize>()).max(1) as u64;
         let span = 1 + span_per_value * n / 2;
         let prefix = with_span(prior, lo, span, seed);
-        let mut tail = with_span(fresh, lo.saturating_add(offset), span, seed ^ 0x9e37);
-        if extremes && fresh > 0 {
-            tail[0] = i64::MIN;
-            tail[fresh - 1] = i64::MAX;
+        let mut tails = Vec::new();
+        for (i, &(len, offset, extremes)) in batches.iter().enumerate() {
+            let mut tail = with_span(len, lo.saturating_add(offset), span, seed ^ (i as u64 + 1));
+            if extremes && len > 0 {
+                tail[0] = i64::MIN;
+                tail[len - 1] = i64::MAX;
+            }
+            tails.push(tail);
         }
-        let counting = check_appended(prefix, &tail);
-        if extremes && fresh > 0 {
-            prop_assert!(!counting, "a union holding both extremes never counts");
+        let routes = check_growth(prefix, &tails);
+        for (i, &(len, _, extremes)) in batches.iter().enumerate() {
+            if extremes && len > 0 {
+                prop_assert!(!routes[i], "a union holding both extremes is never counted");
+            }
         }
     }
 }

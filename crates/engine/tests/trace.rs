@@ -112,7 +112,7 @@ fn adaptive_analyze_trace_contains_the_cvb_rounds() {
 
 /// The `analyze.sort` span's `route` and `counting`: a full scan reads
 /// storage order and sorts it, by counting when the column spans at most
-/// twice its length; CVB hands back its merged sample already sorted.
+/// eight times its length; CVB hands back its sample already sorted.
 #[test]
 fn analyze_sort_span_reports_its_route() {
     let wide = {

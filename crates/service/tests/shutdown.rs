@@ -42,15 +42,15 @@ fn dropping_the_service_mid_refresh_panics_no_refresh_thread() {
     count_service_thread_panics();
     let prom = Arc::new(PromSink::new());
     samplehist_obs::set_global(Recorder::with_sinks(vec![prom.clone()]));
-    // Values 3 apart span about 3n, wider than `sort_values` counts
-    // (2n): the full scan pays a comparison sort of 2M rows, which keeps
+    // Values 16 apart span about 16n, wider than `sort_values` counts
+    // (8n): the full scan pays a comparison sort of 2M rows, which keeps
     // it running well past the 20 ms wait below.
     let rows = 2_000_000i64;
     let mut rng = StdRng::seed_from_u64(11);
     let table = Table::builder("orders")
         .column_with_blocking(
             "amount",
-            (0..rows).map(|v| 3 * v).collect(),
+            (0..rows).map(|v| 16 * v).collect(),
             100,
             Layout::Random,
             &mut rng,
